@@ -23,6 +23,7 @@ Top-level subpackages:
 - :mod:`repro.serving` -- the concurrent serving engine over one deployment.
 - :mod:`repro.cluster` -- per-variant worker processes with supervised restarts.
 - :mod:`repro.fleet` -- multi-tenant fleet serving behind one front door.
+- :mod:`repro.clock` -- the injectable clock (real or virtual time).
 """
 
 __version__ = "1.0.0"

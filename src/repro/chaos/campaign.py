@@ -27,6 +27,16 @@ stack, with an asserted SLO floor*:
 The campaign *requires* a protective response action: under
 ``ResponseAction.HALT`` the first detection would stop the deployment,
 which is the opposite of what a continuous campaign measures.
+
+Every wait the campaign makes -- settle, window ticks, warm-up, heal and
+recovery polls -- and every wait of the traffic it drives runs on one
+``clock`` (:mod:`repro.clock`).  The default is real time.  A
+:class:`~repro.clock.VirtualClock`, shared with the engine
+(``system.serving_engine(clock=...)``), runs the whole campaign on
+virtual time: request CPU costs nothing, only sleeps and timed waits
+advance the clock, so the verdicts do not depend on how fast the host
+is.  Virtual time needs an in-process deployment (forked workers cannot
+share the clock).
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from repro.chaos.verdict import (
     WindowObservation,
     judge,
 )
+from repro.clock import Clock, as_clock
 from repro.mvx.events import ResponseAction
 from repro.mvx.variant_host import VariantHost
 from repro.observability.health import HealthMonitor, default_rules
@@ -108,6 +119,7 @@ class ChaosCampaign:
         p99_budget_factor: float = 4.0,
         p99_floor_s: float = 0.25,
         probes_per_window: int | None = None,
+        clock: Clock | None = None,
     ):
         if system.monitor.response_action is ResponseAction.HALT:
             raise ValueError(
@@ -115,6 +127,18 @@ class ChaosCampaign:
                 "(DROP_VARIANT / RESTART_BATCH / REPLACE_VARIANT); under HALT "
                 "the first detection would stop the deployment"
             )
+        self.clock = as_clock(clock)
+        if self.clock.virtual:
+            if getattr(system, "cluster", None) is not None:
+                raise ValueError(
+                    "a virtual clock needs an in-process deployment: forked "
+                    "worker processes cannot share it"
+                )
+            if engine.clock is not self.clock:
+                raise ValueError(
+                    "the serving engine must run on the campaign's clock "
+                    "(system.serving_engine(clock=...))"
+                )
         self.system = system
         self.engine = engine
         self.roster = list(roster)
@@ -131,7 +155,10 @@ class ChaosCampaign:
         self.registry = engine.registry
         self.recorder = engine.recorder
         self.target = InjectionTarget(
-            system=system, engine=engine, benign_feeds=self.benign_feeds
+            system=system,
+            engine=engine,
+            benign_feeds=self.benign_feeds,
+            clock=self.clock,
         )
         self._plan: list[PlannedInjection] | None = None
         self._planned_injectors: list[ChaosInjector] = []
@@ -178,6 +205,10 @@ class ChaosCampaign:
 
     def run(self) -> CampaignReport:
         """Execute the plan under load and return the aggregated report."""
+        with self.clock.participate():
+            return self._run()
+
+    def _run(self) -> CampaignReport:
         plan = self.plan()
         started_wall = time.monotonic()
         baseline_roster = self.target.live()
@@ -207,6 +238,7 @@ class ChaosCampaign:
             default_rules(),
             window_s=max(4.0, 4 * self.window_s),
             recorder=self.recorder,
+            clock=self.clock,
         )
         loadgen = OpenLoopLoadGenerator(
             self.engine,
@@ -214,6 +246,7 @@ class ChaosCampaign:
             rate_rps=self.rate_rps,
             deadline_s=self.deadline_s,
             expect=lambda result: _outputs_close(result, benign_reference),
+            clock=self.clock,
         )
         verdicts: list[InjectionVerdict] = []
         baseline_p99 = None
@@ -231,7 +264,6 @@ class ChaosCampaign:
                         loadgen,
                         health,
                         baseline_roster,
-                        baseline_p99=baseline_p99 or 0.0,
                         recovery_budget_s=budget,
                         probe_references=probe_references.get(step.index, []),
                     )
@@ -271,7 +303,6 @@ class ChaosCampaign:
         health: HealthMonitor,
         baseline_roster: list,
         *,
-        baseline_p99: float,
         recovery_budget_s: float,
         probe_references: list[dict],
     ) -> InjectionVerdict:
@@ -296,6 +327,7 @@ class ChaosCampaign:
             probe_feeds = probe_feeds[: self.probes_per_window]
             probe_references = probe_references[: self.probes_per_window]
 
+        roundtrips_before = self._roundtrip_totals()
         try:
             injector.inject(self.target)
         except InjectionError as exc:
@@ -313,6 +345,7 @@ class ChaosCampaign:
                 self.recorder.record(
                     KIND_CHAOS_RESTORED, injection=step.index, name=step.name
                 )
+        roundtrips = self._roundtrip_deltas(roundtrips_before)
 
         self._heal(baseline_roster)
         recovered, recovery_s = self._wait_recovery(loadgen, recovery_budget_s)
@@ -336,12 +369,37 @@ class ChaosCampaign:
             recovered=recovered,
             recovery_s=recovery_s,
             recovery_budget_s=recovery_budget_s,
-            telemetry={
-                "window_p99_s": loadgen.p99_since(window_mark),
-                "baseline_p99_s": baseline_p99,
-            },
+            telemetry={"variant_roundtrip": roundtrips},
         )
         return judge(step.name, step.fault_class, injector, observation)
+
+    def _roundtrip_totals(self) -> dict[str, tuple[int, float, int]]:
+        """variant -> (partition, round-trip seconds sum, count) so far."""
+        histogram = self.registry.histogram(
+            "mvtee_variant_roundtrip_seconds",
+            "Monitor-observed round-trip seconds per variant request",
+        )
+        return {
+            labels["variant"]: (
+                int(labels["partition"]),
+                histogram.sum(**labels),
+                histogram.count(**labels),
+            )
+            for labels in histogram.label_sets()
+        }
+
+    def _roundtrip_deltas(self, before: dict) -> dict[str, dict]:
+        """Per-variant round trips recorded since ``before`` (one window)."""
+        deltas = {}
+        for vid, (partition, total, count) in self._roundtrip_totals().items():
+            _, total_before, count_before = before.get(vid, (partition, 0.0, 0))
+            if count > count_before:
+                deltas[vid] = {
+                    "partition": partition,
+                    "sum_s": total - total_before,
+                    "count": count - count_before,
+                }
+        return deltas
 
     def _observe_window(
         self,
@@ -354,18 +412,19 @@ class ChaosCampaign:
     ):
         """Tick through the injection window, firing probes mid-window."""
         heartbeat_peak: float | None = None
-        deadline = time.monotonic() + self.window_s
+        clock = self.clock
+        deadline = clock.now() + self.window_s
         probe_at = []
         if probe_feeds:
             # Space probes through the window, first one early.
             stride = self.window_s / (len(probe_feeds) + 1)
             probe_at = [
-                time.monotonic() + stride * (i + 1) for i in range(len(probe_feeds))
+                clock.now() + stride * (i + 1) for i in range(len(probe_feeds))
             ]
         fired = 0
-        last_health = time.monotonic()
-        while time.monotonic() < deadline:
-            now = time.monotonic()
+        last_health = clock.now()
+        while clock.now() < deadline:
+            now = clock.now()
             for vid in injector.targets:
                 age = self.target.heartbeat_age(vid)
                 if age is not None:
@@ -379,7 +438,7 @@ class ChaosCampaign:
                 )
                 probes.append(self._fire_probe(probe_feeds[fired], reference))
                 fired = fired + 1
-            time.sleep(0.05)
+            clock.sleep(0.05)
         # Any probes the window ran out of time for still count.
         while fired < len(probe_feeds):
             reference = probe_references[fired] if fired < len(probe_references) else None
@@ -413,17 +472,17 @@ class ChaosCampaign:
     # ------------------------------------------------------------------
 
     def _settle(self, loadgen: OpenLoopLoadGenerator) -> None:
-        time.sleep(self.settle_s)
+        self.clock.sleep(self.settle_s)
 
     def _warm_up(self, loadgen: OpenLoopLoadGenerator) -> float | None:
         """Wait for enough clean samples to establish the baseline p99."""
-        deadline = time.monotonic() + max(4.0, self.recovery_timeout_s)
+        deadline = self.clock.now() + max(4.0, self.recovery_timeout_s)
         mark = 0
-        while time.monotonic() < deadline:
+        while self.clock.now() < deadline:
             ok = loadgen.samples_since(mark, outcome="ok")
             if len(ok) >= 20:
                 return loadgen.p99_since(mark)
-            time.sleep(0.05)
+            self.clock.sleep(0.05)
         return loadgen.p99_since(mark)
 
     def _heal(self, baseline_roster: list) -> None:
@@ -463,13 +522,13 @@ class ChaosCampaign:
                 self.system.monitor.bind_variant(index, artifact, host, event="restart")
                 self.system.hosts[vid] = host
         if missing:
-            deadline = time.monotonic() + self.recovery_timeout_s
-            while time.monotonic() < deadline:
+            deadline = self.clock.now() + self.recovery_timeout_s
+            while self.clock.now() < deadline:
                 if all(entry in self.target.live() for entry in baseline_roster):
                     return
                 if cluster is not None:
                     cluster.poll()
-                time.sleep(0.05)
+                self.clock.sleep(0.05)
 
     def _wait_recovery(
         self, loadgen: OpenLoopLoadGenerator, budget_s: float
@@ -480,16 +539,16 @@ class ChaosCampaign:
         restore) is under ``budget_s`` -- the fault's own window samples
         must not poison the measurement.
         """
-        started = time.monotonic()
+        started = self.clock.now()
         mark = loadgen.mark()
         deadline = started + self.recovery_timeout_s
-        while time.monotonic() < deadline:
+        while self.clock.now() < deadline:
             ok = loadgen.samples_since(mark, outcome="ok")
             if len(ok) >= 10:
                 p99 = loadgen.p99_since(mark, last=15)
                 if p99 is not None and p99 <= budget_s:
-                    return True, time.monotonic() - started
-            time.sleep(0.05)
+                    return True, self.clock.now() - started
+            self.clock.sleep(0.05)
         return False, None
 
     def _error_verdict(

@@ -21,8 +21,9 @@ Detection modes (consumed by :mod:`repro.chaos.verdict`):
   naming the attacked variant (CVE payloads, FrameFlip, weight flips,
   worker kill);
 - ``telemetry`` -- no voting surface; the fault must show in the SLO
-  telemetry instead (heartbeat age for a wedged worker, latency for a
-  slowloris'd variant, service continuity for an shm outage);
+  telemetry instead (heartbeat age for a wedged worker, round-trip
+  skew between replicas for a slowloris'd variant, service continuity
+  for an shm outage);
 - ``direct`` -- the defense mechanism itself returns the verdict
   (rollback freshness check, fork-attack binding rejection).
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import os
 import signal
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -38,6 +40,7 @@ import numpy as np
 
 from repro.attacks.cves import MALICIOUS_MARKER, CveCase, craft_malicious_input
 from repro.attacks.storage import ForkAttack, RollbackAttack
+from repro.clock import REAL_CLOCK, Clock
 from repro.crypto.keys import KeyManager
 from repro.crypto.sealed import seal_bytes
 from repro.mvx.variant_host import VariantHost, VariantUnavailable
@@ -76,6 +79,8 @@ class InjectionTarget:
     engine: object  # ServingEngine
     #: Template feeds for crafting probes (set by the campaign).
     benign_feeds: dict | None = None
+    #: The campaign's clock; faults that add latency sleep on it.
+    clock: Clock = REAL_CLOCK
 
     @property
     def monitor(self):
@@ -604,16 +609,28 @@ class WorkerWedgeInjector(ChaosInjector):
 
 @dataclass
 class SlowVariantInjector(ChaosInjector):
-    """Slowloris one variant: add real wall-clock latency to its stage.
+    """Slowloris one variant: add latency to every request it serves.
 
-    Every batch crossing the victim's partition waits on it, so the
-    trace's window p99 rises by roughly the added latency.  Restore
-    reconfigures the original latency attributes.
+    The victim's host sleeps ``added_latency_s`` before each inference,
+    on the campaign's clock in-process (``InjectionTarget.clock``) and
+    in real time inside a worker process.  Restore reconfigures the
+    original latency attributes.
+
+    Detection is *skew between replicas*, read from the monitor's
+    per-variant round-trip histogram
+    (``mvtee_variant_roundtrip_seconds``, which includes the added
+    latency) over the injection window: the victim's mean round trip
+    minus the median of its partition siblings' means must reach
+    ``visibility × added_latency_s``.  The replicas of one partition
+    serve the same feeds on the same machine, so the skew does not
+    depend on machine speed the way an end-to-end percentile does, and
+    the slowest replica names the culprit.  Timeouts alone are not
+    detection: they do not say which variant was slow.
     """
 
     added_latency_s: float = 0.08
-    #: Window p99 must exceed baseline by this fraction of the added
-    #: latency for the fault to count as telemetry-detected.
+    #: Victim-minus-siblings round-trip skew, as a fraction of the added
+    #: latency, that counts as telemetry-detected.
     visibility: float = 0.5
 
     name = "slow-variant"
@@ -622,7 +639,7 @@ class SlowVariantInjector(ChaosInjector):
 
     def __post_init__(self):
         self._victim: tuple[int, str] | None = None
-        self._previous: tuple[float, bool] | None = None
+        self._previous: tuple | None = None
         self._pid: int | None = None
         self._applied = False
 
@@ -653,9 +670,10 @@ class SlowVariantInjector(ChaosInjector):
             if connection is None:
                 raise InjectionError(f"{self.name}: victim {vid} gone")
             host = connection.host
-            self._previous = (host.simulated_latency, host.realtime_latency)
+            self._previous = (host.simulated_latency, host.realtime_latency, host.clock)
             host.simulated_latency = self.added_latency_s
             host.realtime_latency = True
+            host.clock = target.clock
         self._applied = True
 
     def restore(self, target: InjectionTarget) -> None:
@@ -663,7 +681,7 @@ class SlowVariantInjector(ChaosInjector):
             return
         self._applied = False
         vid = self._victim[1]
-        latency, realtime = self._previous
+        latency, realtime = self._previous[:2]
         worker = target.worker(vid)
         if worker is not None:
             if worker.pid == self._pid:
@@ -671,23 +689,41 @@ class SlowVariantInjector(ChaosInjector):
             return  # restarted incarnation: fresh host, defaults already clean
         connection = target.connection(vid)
         if connection is not None:
-            connection.host.simulated_latency = latency
-            connection.host.realtime_latency = realtime
+            host = connection.host
+            host.simulated_latency, host.realtime_latency, host.clock = self._previous
 
     def telemetry_verdict(self, observation) -> tuple[bool, bool | None, str]:
-        window_p99 = observation.telemetry.get("window_p99_s")
-        baseline_p99 = observation.telemetry.get("baseline_p99_s") or 0.0
-        timeouts = int(observation.counts.get("timeout", 0))
-        visible = (
-            window_p99 is not None
-            and window_p99 >= baseline_p99 + self.visibility * self.added_latency_s
-        )
-        detected = visible or timeouts > 0
+        """Judge the window by round-trip skew inside the victim's partition.
+
+        Reads ``observation.telemetry["variant_roundtrip"]``: variant id
+        -> ``{"partition", "sum_s", "count"}`` over the window.
+        """
+        if self._victim is None:
+            return False, None, "no victim resolved"
+        index, victim = self._victim
+        roundtrips = observation.telemetry.get("variant_roundtrip") or {}
+        means = {
+            vid: row["sum_s"] / row["count"]
+            for vid, row in roundtrips.items()
+            if int(row["partition"]) == index and row["count"] > 0
+        }
+        siblings = [mean for vid, mean in means.items() if vid != victim]
+        if victim not in means or not siblings:
+            return False, None, (
+                f"no round trips of {victim} and its partition-{index} "
+                f"siblings in the window"
+            )
+        skew = means[victim] - statistics.median(siblings)
+        threshold = self.visibility * self.added_latency_s
+        detected = skew >= threshold
+        slowest = max(sorted(means), key=means.get)
+        culprit = slowest == victim if detected else None
         detail = (
-            f"window p99 {window_p99 if window_p99 is not None else float('nan'):.3f}s "
-            f"vs baseline {baseline_p99:.3f}s (+{self.added_latency_s:.3f}s injected)"
+            f"victim {victim} mean round trip {means[victim]:.3f}s vs sibling "
+            f"median {statistics.median(siblings):.3f}s: skew {skew:+.3f}s "
+            f"(threshold {threshold:.3f}s); slowest replica {slowest}"
         )
-        return detected, None, detail
+        return detected, culprit, detail
 
 
 @dataclass

@@ -81,8 +81,9 @@ class WindowObservation:
     recovered: bool = True
     recovery_s: float | None = None
     recovery_budget_s: float | None = None
-    #: Free-form numeric signals (window p99, baseline p99, counter
-    #: deltas) telemetry-mode injectors judge against.
+    #: Signals telemetry-mode injectors judge against; the campaign
+    #: fills ``variant_roundtrip``: variant id -> ``{"partition",
+    #: "sum_s", "count"}`` of monitor round trips during the window.
     telemetry: dict = field(default_factory=dict)
 
 

@@ -11,9 +11,9 @@ policy's backoff and budget.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
+from repro.clock import Clock
 from repro.serving.executor import ParallelStageExecutor
 
 __all__ = ["ProcessDispatcher"]
@@ -28,7 +28,7 @@ class ProcessDispatcher(ParallelStageExecutor):
         max_workers: int = 8,
         *,
         retry_transient: bool = True,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock | Callable[[], float] | None = None,
     ):
         super().__init__(max_workers, retry_transient=retry_transient, clock=clock)
         self.cluster = cluster

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.clock import REAL_CLOCK, Clock
 from repro.crypto.keys import KeyManager
 from repro.mvx.binding import BindingLedger
 from repro.mvx.config import MvxConfig
@@ -68,9 +69,20 @@ class VariantConnection:
     #: and two batches may target the same variant concurrently).
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def request(self, msg_type: str, meta: dict, tensors: dict | None = None) -> tuple[str, dict, dict]:
-        """Round-trip one protected request to the variant."""
-        with self._lock:
+    def request(
+        self,
+        msg_type: str,
+        meta: dict,
+        tensors: dict | None = None,
+        *,
+        clock: Clock = REAL_CLOCK,
+    ) -> tuple[str, dict, dict]:
+        """Round-trip one protected request to the variant.
+
+        A thread waiting for another's round trip to finish blocks on
+        ``clock`` (see :meth:`repro.clock.Clock.locked`).
+        """
+        with clock.locked(self._lock):
             record = self.channel.protect(encode_message(msg_type, meta, tensors))
             if self.transport is not None:
                 response = self.transport.exchange(self.variant_id, record)
@@ -584,18 +596,29 @@ class Monitor:
             )
 
     def request_inference(
-        self, connection: VariantConnection, batch_id: int, feeds: dict
+        self,
+        connection: VariantConnection,
+        batch_id: int,
+        feeds: dict,
+        *,
+        clock: Clock = REAL_CLOCK,
     ) -> VariantOutput:
         """One monitor->variant round trip (spans + metrics included).
 
         The building block pluggable dispatchers compose: safe to call
         from worker threads -- the span, counter and detection-state
-        paths it touches are lock- or GIL-protected.
+        paths it touches are lock- or GIL-protected.  The round trip is
+        timed on ``clock`` into ``mvtee_variant_roundtrip_seconds``.
         """
-        return self._request_inference(connection, batch_id, feeds)
+        return self._request_inference(connection, batch_id, feeds, clock=clock)
 
     def _request_inference(
-        self, connection: VariantConnection, batch_id: int, feeds: dict
+        self,
+        connection: VariantConnection,
+        batch_id: int,
+        feeds: dict,
+        *,
+        clock: Clock = REAL_CLOCK,
     ) -> VariantOutput:
         with self.tracer.span(
             "variant",
@@ -603,10 +626,24 @@ class Monitor:
             partition=connection.partition_index,
             batch=batch_id,
         ) as span:
-            result = self._request_inference_unobserved(connection, batch_id, feeds)
+            start = clock.now()
+            result = self._request_inference_unobserved(
+                connection, batch_id, feeds, clock
+            )
+            elapsed = clock.now() - start
             span.set_attribute("bytes_protected", connection.channel.bytes_protected)
             if result.outputs is None:
                 span.record_error(result.error)
+        # Per replica, including whatever latency the host adds: the
+        # straggler signal is skew between replicas of one partition.
+        self.metrics_registry.histogram(
+            "mvtee_variant_roundtrip_seconds",
+            "Monitor-observed round-trip seconds per variant request",
+        ).observe(
+            elapsed,
+            variant=connection.variant_id,
+            partition=connection.partition_index,
+        )
         self.metrics_registry.counter(
             "mvtee_variant_requests_total", "Monitor->variant inference round trips"
         ).inc(
@@ -616,11 +653,15 @@ class Monitor:
         return result
 
     def _request_inference_unobserved(
-        self, connection: VariantConnection, batch_id: int, feeds: dict
+        self,
+        connection: VariantConnection,
+        batch_id: int,
+        feeds: dict,
+        clock: Clock = REAL_CLOCK,
     ) -> VariantOutput:
         try:
             msg_type, meta, tensors = connection.request(
-                "infer", {"batch_id": batch_id}, feeds
+                "infer", {"batch_id": batch_id}, feeds, clock=clock
             )
         except (VariantUnavailable, ChannelError) as exc:
             return VariantOutput(

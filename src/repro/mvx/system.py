@@ -219,6 +219,7 @@ class MvteeSystem:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
+        clock=None,
     ):
         """A (not yet started) :class:`repro.serving.ServingEngine`.
 
@@ -228,7 +229,9 @@ class MvteeSystem:
         context manager; :meth:`InferenceService.serve` wraps the same
         engine behind the request-id surface.  ``sinks`` carries the
         engine's observability bundle; the individual ``registry=`` /
-        ``tracer=`` / ``recorder=`` kwargs are deprecated.
+        ``tracer=`` / ``recorder=`` kwargs are deprecated.  ``clock``
+        (a :class:`repro.clock.Clock`; real time by default) runs the
+        engine's deadlines and waits.
         """
         from repro.serving.engine import ServingEngine
 
@@ -239,7 +242,7 @@ class MvteeSystem:
             metrics=registry,
             recorder=recorder,
         )
-        return ServingEngine(self, policy=policy, sinks=sinks)
+        return ServingEngine(self, policy=policy, sinks=sinks, clock=clock)
 
     # ------------------------------------------------------------------
     # Updates

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.clock import Clock, as_clock
 from repro.graph.model import ModelGraph
 from repro.mvx.wire import decode_message, encode_message
 from repro.observability.metrics import MetricsRegistry, get_global_registry
@@ -55,11 +56,14 @@ class VariantHost:
     #: async scheduler and the DES use this to model slow variants (e.g.
     #: a heavily diversified TVM variant, §6.4).
     simulated_latency: float = 0.0
-    #: Apply ``simulated_latency`` as real wall-clock sleep before each
-    #: inference.  The sleep releases the GIL like the numpy kernels do,
-    #: so the serving benchmarks can model heavy diversified variants
-    #: whose replicas genuinely overlap under parallel dispatch.
+    #: Apply ``simulated_latency`` as a sleep on ``clock`` (real time by
+    #: default) before each inference.  The sleep releases the GIL like
+    #: the numpy kernels do, so the serving benchmarks can model heavy
+    #: diversified variants whose replicas genuinely overlap under
+    #: parallel dispatch.
     realtime_latency: bool = False
+    #: Clock the ``realtime_latency`` sleep runs on (None = real time).
+    clock: Clock | None = None
     #: Metrics sink for serving counters (None = process-wide registry).
     metrics: MetricsRegistry | None = None
     _served: int = field(default=0)
@@ -166,7 +170,7 @@ class VariantHost:
             return encode_message("error", {"reason": "variant not initialized"})
         registry = self.metrics if self.metrics is not None else get_global_registry()
         if self.realtime_latency and self.simulated_latency > 0:
-            time.sleep(self.simulated_latency)
+            as_clock(self.clock).sleep(self.simulated_latency)
         start = time.perf_counter()
         try:
             outputs = self.runtime.run(tensors)

@@ -15,11 +15,10 @@ sheds are counted in ``mvtee_requests_shed_total``.
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
 from typing import Callable
 
+from repro.clock import Clock, as_clock
 from repro.observability.metrics import MetricsRegistry, get_global_registry
 from repro.serving.errors import EngineStopped, Overloaded
 
@@ -34,15 +33,15 @@ class AdmissionQueue:
         capacity: int,
         *,
         registry: MetricsRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock | Callable[[], float] | None = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._registry = registry if registry is not None else get_global_registry()
-        self._clock = clock
+        self._clock = as_clock(clock)
         self._items: deque = deque()
-        self._cond = threading.Condition()
+        self._cond = self._clock.condition()
         self._closed = False
 
     def _set_depth(self) -> None:

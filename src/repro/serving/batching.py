@@ -17,10 +17,10 @@ member's time-in-queue to ``mvtee_queue_wait_seconds``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.clock import Clock, as_clock
 from repro.observability.metrics import (
     SIZE_BUCKETS,
     MetricsRegistry,
@@ -54,12 +54,12 @@ class MicroBatcher:
         policy: BatchPolicy | None = None,
         *,
         registry: MetricsRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock | Callable[[], float] | None = None,
     ):
         self.queue = queue
         self.policy = policy if policy is not None else BatchPolicy()
         self._registry = registry if registry is not None else get_global_registry()
-        self._clock = clock
+        self._clock = as_clock(clock)
 
     def next_batch(self, *, poll_s: float = 0.05) -> list:
         """Block up to ``poll_s`` for work, then coalesce one batch.

@@ -39,13 +39,13 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.clock import Clock, as_clock
 from repro.mvx.monitor import MonitorError
 from repro.mvx.scheduler import InferenceOptions, SchedulingMode, validate_feeds
 from repro.observability.metrics import MetricsRegistry
@@ -126,17 +126,20 @@ class Ticket:
         *,
         deadline: float | None,
         enqueued_at: float,
+        clock: Clock | None = None,
     ):
         self.ticket_id = ticket_id
         self.feeds = feeds
-        #: Monotonic deadline (None = unbounded).
+        #: Deadline on the engine's clock (None = unbounded).
         self.deadline = deadline
-        #: Monotonic admission timestamp (drives mvtee_queue_wait_seconds).
+        #: Admission timestamp on the engine's clock (drives
+        #: mvtee_queue_wait_seconds).
         self.enqueued_at = enqueued_at
         self._state = TicketState.PENDING
         self._result: dict[str, np.ndarray] | None = None
         self._error: Exception | None = None
-        self._event = threading.Event()
+        #: Set on completion; ``result(timeout)`` waits on ``clock``.
+        self._event = as_clock(clock).event()
         self._lock = threading.Lock()
         self._callbacks: list[Callable[["Ticket"], None]] = []
 
@@ -186,7 +189,13 @@ class Ticket:
 
 
 class ServingEngine:
-    """Background-threaded serving over one deployed system."""
+    """Background-threaded serving over one deployed system.
+
+    ``clock`` (a :class:`repro.clock.Clock` or a bare ``() -> float``;
+    real monotonic time by default) runs every deadline and wait of the
+    engine: admission queue, batcher, worker pool, tickets and the
+    stage executor.
+    """
 
     def __init__(
         self,
@@ -197,7 +206,7 @@ class ServingEngine:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock | Callable[[], float] | None = None,
     ):
         sinks = coerce_sinks(
             sinks,
@@ -220,7 +229,7 @@ class ServingEngine:
             if sinks.recorder is not None
             else system.monitor.recorder
         )
-        self._clock = clock
+        self._clock = as_clock(clock)
         # Pre-register the engine's counters/histograms so the full
         # serving metric surface is visible (and documented inventories
         # verifiable) before the first request ever sheds or times out.
@@ -254,7 +263,7 @@ class ServingEngine:
             "mvtee_engine_workers", "Engine worker threads in the pool"
         ).set(self.policy.num_workers)
         self._queue = AdmissionQueue(
-            self.policy.capacity, registry=self.registry, clock=clock
+            self.policy.capacity, registry=self.registry, clock=self._clock
         )
         self._batcher = MicroBatcher(
             self._queue,
@@ -263,7 +272,7 @@ class ServingEngine:
                 max_wait_s=self.policy.max_wait_s,
             ),
             registry=self.registry,
-            clock=clock,
+            clock=self._clock,
         )
         # Process-mode deployments get the cluster-aware dispatcher so a
         # worker lost mid-batch is restarted promptly; same contract,
@@ -275,13 +284,13 @@ class ServingEngine:
             self._executor = cluster.dispatcher(
                 max_workers=self.policy.max_workers,
                 retry_transient=self.policy.retry_transient,
-                clock=clock,
+                clock=self._clock,
             )
         else:
             self._executor = ParallelStageExecutor(
                 self.policy.max_workers,
                 retry_transient=self.policy.retry_transient,
-                clock=clock,
+                clock=self._clock,
             )
         self._ids = itertools.count()
         #: Worker threads by pool index; indexes at or past
@@ -290,7 +299,7 @@ class ServingEngine:
         self._target_workers = self.policy.num_workers
         #: Guards _target_workers/_busy/_paused; workers wait on it
         #: while paused, quiesce() waits on it for _busy == 0.
-        self._pool_cond = threading.Condition()
+        self._pool_cond = self._clock.condition()
         self._busy = 0
         self._paused = False
         self._stopping = threading.Event()
@@ -323,6 +332,7 @@ class ServingEngine:
             dict(feeds),
             deadline=None if deadline_s is None else now + deadline_s,
             enqueued_at=now,
+            clock=self._clock,
         )
         try:
             self._queue.offer(ticket)
@@ -358,14 +368,9 @@ class ServingEngine:
             worker = self._workers.get(index)
             if worker is not None and worker.is_alive():
                 continue
-            worker = threading.Thread(
-                target=self._run,
-                args=(index,),
-                name=f"mvtee-serving-{index}",
-                daemon=True,
+            self._workers[index] = self._clock.spawn(
+                self._run, index, name=f"mvtee-serving-{index}"
             )
-            self._workers[index] = worker
-            worker.start()
 
     @property
     def num_workers(self) -> int:
@@ -450,15 +455,15 @@ class ServingEngine:
             # Stop overrides a pause: paused workers must wake up to
             # drain the queue, and quiesce() waiters must not deadlock.
             self._pool_cond.notify_all()
-        join_deadline = None if timeout is None else time.monotonic() + timeout
+        join_deadline = None if timeout is None else self._clock.now() + timeout
         still_alive = {}
         for index, worker in self._workers.items():
             remaining = (
                 None
                 if join_deadline is None
-                else max(0.0, join_deadline - time.monotonic())
+                else max(0.0, join_deadline - self._clock.now())
             )
-            worker.join(remaining)
+            self._clock.join(worker, remaining)
             if worker.is_alive():
                 still_alive[index] = worker
         self._workers = still_alive
@@ -638,6 +643,11 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Operations surface
     # ------------------------------------------------------------------
+
+    @property
+    def clock(self) -> Clock:
+        """The clock every deadline and wait of this engine runs on."""
+        return self._clock
 
     @property
     def queue_depth(self) -> int:

@@ -29,11 +29,11 @@ state.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Callable
 
+from repro.clock import Clock, as_clock
 from repro.serving.errors import DeadlineExceeded
 
 __all__ = ["BoundDispatcher", "ParallelStageExecutor"]
@@ -75,13 +75,15 @@ class ParallelStageExecutor:
         max_workers: int = 8,
         *,
         retry_transient: bool = True,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock | Callable[[], float] | None = None,
     ):
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="mvtee-variant"
         )
         self.retry_transient = retry_transient
-        self._clock = clock
+        #: Deadlines and the deadline wait run on this clock; a virtual
+        #: one also times the monitor's round trips.
+        self._clock = as_clock(clock)
 
     def bind(self, deadline: float | None) -> BoundDispatcher:
         """A dispatcher view of this executor with ``deadline`` attached."""
@@ -107,7 +109,9 @@ class ParallelStageExecutor:
             # the pool hop entirely.
             return [self._request(monitor, connections[0], batch_id, feeds, deadline)]
         futures = [
-            self._pool.submit(self._request, monitor, c, batch_id, feeds, deadline)
+            self._clock.submit(
+                self._pool, self._request, monitor, c, batch_id, feeds, deadline
+            )
             for c in connections
         ]
         results = []
@@ -125,8 +129,17 @@ class ParallelStageExecutor:
                 ) from None
         return results
 
+    def _round_trip(self, monitor, connection, batch_id, feeds):
+        if not self._clock.virtual:
+            # Real waits (also under a bare callable clock): the monitor
+            # times the round trip in real time by default.
+            return monitor.request_inference(connection, batch_id, feeds)
+        return monitor.request_inference(
+            connection, batch_id, feeds, clock=self._clock
+        )
+
     def _request(self, monitor, connection, batch_id, feeds, deadline=None):
-        result = monitor.request_inference(connection, batch_id, feeds)
+        result = self._round_trip(monitor, connection, batch_id, feeds)
         if (
             result.outputs is None
             and self.retry_transient
@@ -141,7 +154,7 @@ class ParallelStageExecutor:
                 "mvtee_dispatch_retries_total",
                 "Variant round trips retried after a transient fault",
             ).inc(partition=connection.partition_index)
-            result = monitor.request_inference(connection, batch_id, feeds)
+            result = self._round_trip(monitor, connection, batch_id, feeds)
         return result
 
     def _past_deadline(self, deadline: float | None) -> bool:

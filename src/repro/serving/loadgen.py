@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.clock import Clock, as_clock
 from repro.mvx.monitor import MonitorError
 from repro.serving.engine import ServingEngine, Ticket
 from repro.serving.errors import DeadlineExceeded, EngineStopped, Overloaded
@@ -216,7 +217,7 @@ OUTCOME_SHED = "shed"
 
 @dataclass(frozen=True)
 class TrafficSample:
-    """One request's fate in an open-loop trace (monotonic timestamps)."""
+    """One request's fate in an open-loop trace (timestamps on its clock)."""
 
     submitted_at: float
     finished_at: float
@@ -237,6 +238,9 @@ class OpenLoopLoadGenerator:
     the silent-corruption net of a chaos campaign (a wrong answer
     *served to a client* with no detection is the one unforgivable
     outcome).
+
+    ``clock`` runs the arrival schedule, the latency stamps and the
+    stop/drain waits; pass the engine's clock (real time by default).
     """
 
     def __init__(
@@ -247,6 +251,7 @@ class OpenLoopLoadGenerator:
         rate_rps: float = 50.0,
         deadline_s: float | None = None,
         expect: Callable[[dict[str, np.ndarray]], bool] | None = None,
+        clock: Clock | Callable[[], float] | None = None,
     ):
         if rate_rps <= 0:
             raise ValueError(f"rate_rps must be > 0, got {rate_rps}")
@@ -255,9 +260,12 @@ class OpenLoopLoadGenerator:
         self.rate_rps = rate_rps
         self.deadline_s = deadline_s
         self.expect = expect
+        self._clock = as_clock(clock)
         self._samples: list[TrafficSample] = []
         self._lock = threading.Lock()
-        self._stop = threading.Event()
+        #: Admitted tickets whose outcome is not yet in the trace.
+        self._unsettled = 0
+        self._stop = self._clock.event()
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ------------------------------------------------------
@@ -267,25 +275,27 @@ class OpenLoopLoadGenerator:
         if self._thread is not None and self._thread.is_alive():
             return self
         self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="openloop-loadgen", daemon=True
-        )
-        self._thread.start()
+        self._thread = self._clock.spawn(self._run, name="openloop-loadgen")
         return self
 
     def stop(self, *, drain_s: float = 2.0) -> None:
-        """Stop submitting and give in-flight tickets time to settle."""
+        """Stop submitting and give in-flight tickets time to settle.
+
+        Waits up to ``drain_s`` until the engine's queue is empty and
+        every admitted ticket's outcome has landed in the trace.
+        """
         self._stop.set()
         thread = self._thread
         if thread is not None:
-            thread.join(timeout=5.0)
+            self._clock.join(thread, 5.0)
         self._thread = None
-        deadline = time.monotonic() + drain_s
-        while time.monotonic() < deadline:
-            depth = getattr(self.engine, "queue_depth", None)
-            if not callable(depth) or depth() == 0:
+        deadline = self._clock.now() + drain_s
+        while self._clock.now() < deadline:
+            with self._lock:
+                unsettled = self._unsettled
+            if unsettled == 0 and getattr(self.engine, "queue_depth", 0) == 0:
                 break
-            time.sleep(0.02)
+            self._clock.sleep(0.02)
 
     def __enter__(self) -> "OpenLoopLoadGenerator":
         return self.start()
@@ -297,10 +307,10 @@ class OpenLoopLoadGenerator:
 
     def _run(self) -> None:
         period = 1.0 / self.rate_rps
-        next_at = time.monotonic()
+        next_at = self._clock.now()
         sequence = 0
         while not self._stop.is_set():
-            now = time.monotonic()
+            now = self._clock.now()
             if now < next_at:
                 self._stop.wait(min(next_at - now, 0.05))
                 continue
@@ -311,22 +321,24 @@ class OpenLoopLoadGenerator:
             next_at += period
             feeds = self.feeds_factory(sequence)
             sequence += 1
-            submitted = time.monotonic()
+            submitted = self._clock.now()
             try:
                 ticket = self.engine.submit(feeds, deadline_s=self.deadline_s)
             except Overloaded:
                 self._append(
-                    TrafficSample(submitted, time.monotonic(), OUTCOME_SHED, 0.0)
+                    TrafficSample(submitted, self._clock.now(), OUTCOME_SHED, 0.0)
                 )
                 continue
             except EngineStopped:
                 return
+            with self._lock:
+                self._unsettled += 1
             ticket.add_done_callback(
                 lambda t, _submitted=submitted: self._settle(t, _submitted)
             )
 
     def _settle(self, ticket: Ticket, submitted: float) -> None:
-        finished = time.monotonic()
+        finished = self._clock.now()
         try:
             result = ticket.result(0)
         except DeadlineExceeded:
@@ -339,7 +351,11 @@ class OpenLoopLoadGenerator:
             except Exception:
                 ok = False
             outcome = OUTCOME_OK if ok else OUTCOME_CORRUPT
-        self._append(TrafficSample(submitted, finished, outcome, finished - submitted))
+        with self._lock:
+            self._unsettled -= 1
+            self._samples.append(
+                TrafficSample(submitted, finished, outcome, finished - submitted)
+            )
 
     def _append(self, sample: TrafficSample) -> None:
         with self._lock:

@@ -30,6 +30,7 @@ from repro.chaos import (
     WorkerKillInjector,
     judge,
 )
+from repro.clock import VirtualClock
 from repro.mvx import MvteeSystem, ResponseAction
 from repro.serving.engine import ServingPolicy
 
@@ -167,6 +168,64 @@ class TestJudge:
         assert verdict.outcome == OUTCOME_MASKED
         assert verdict.detail == "heartbeat stalled"
 
+    def _slow_variant(self):
+        class OneVictim:
+            def replicated(self):
+                return [(1, "v1")]
+
+        injector = SlowVariantInjector(added_latency_s=0.08)
+        injector.resolve(OneVictim(), np.random.default_rng(0))
+        return injector
+
+    @staticmethod
+    def _roundtrips(partition=1, count=6, **means):
+        return {
+            vid: {"partition": partition, "sum_s": mean * count, "count": count}
+            for vid, mean in means.items()
+        }
+
+    def test_slow_variant_named_by_replica_skew(self):
+        roundtrips = self._roundtrips(v1=0.09, v2=0.010, v3=0.012)
+        # A slower replica in another partition is not the victim's sibling.
+        roundtrips.update(self._roundtrips(partition=0, v9=0.5))
+        verdict = judge(
+            "slow-variant", "slow-variant", self._slow_variant(),
+            WindowObservation(
+                counts=dict(CLEAN_COUNTS),
+                telemetry={"variant_roundtrip": roundtrips},
+            ),
+        )
+        assert verdict.outcome == OUTCOME_MASKED
+        assert verdict.culprit_correct is True
+        assert verdict.passed
+
+    def test_slow_variant_skew_with_slower_sibling_names_wrong_culprit(self):
+        verdict = judge(
+            "slow-variant", "slow-variant", self._slow_variant(),
+            WindowObservation(
+                counts=dict(CLEAN_COUNTS),
+                telemetry={
+                    "variant_roundtrip": self._roundtrips(v1=0.11, v2=0.0, v3=0.13)
+                },
+            ),
+        )
+        assert verdict.detected
+        assert verdict.culprit_correct is False
+        assert not verdict.passed
+
+    def test_slow_variant_without_skew_is_missed_despite_timeouts(self):
+        verdict = judge(
+            "slow-variant", "slow-variant", self._slow_variant(),
+            WindowObservation(
+                counts=dict(CLEAN_COUNTS, timeout=5),
+                telemetry={
+                    "variant_roundtrip": self._roundtrips(v1=0.02, v2=0.02, v3=0.021)
+                },
+            ),
+        )
+        assert verdict.outcome == OUTCOME_MISSED
+        assert not verdict.passed
+
     def test_direct_mode_reads_attack_result(self):
         class DirectInjector(FakeInjector):
             detection = "direct"
@@ -299,7 +358,13 @@ class TestInjectorRestore:
 class TestLiveCampaign:
     def test_inprocess_campaign_holds_the_floor(self, small_resnet, small_input):
         system = deploy(small_resnet, {0: 3, 1: 3, 2: 3}, seed=1)
-        engine = system.serving_engine(policy=ServingPolicy(num_workers=2))
+        # One virtual clock for the engine and the campaign: request CPU
+        # costs no time, only sleeps and timed waits do, so the floor is
+        # judged the same way on a slow host as on a fast one.
+        clock = VirtualClock()
+        engine = system.serving_engine(
+            policy=ServingPolicy(num_workers=2), clock=clock
+        )
         campaign = ChaosCampaign(
             system,
             engine,
@@ -311,6 +376,7 @@ class TestLiveCampaign:
             recovery_timeout_s=10.0,
             rate_rps=6.0,
             deadline_s=3.0,
+            clock=clock,
         )
         report = campaign.run()
         assert report.passed, [v.to_json() for v in report.failures()]
