@@ -8,9 +8,9 @@ diversified variants (20 ms of GIL-releasing latency each):
 1. *in-process* -- the default execution, serial replica dispatch: the
    checkpoint waits for the sum of the three replica latencies;
 2. *process cluster* -- each variant host forked into its own worker
-   process, replicas dispatched concurrently through the cluster's
-   :class:`ProcessDispatcher`: the checkpoint waits only for the
-   slowest replica.
+   process, replicas dispatched concurrently by a
+   :class:`ParallelStageExecutor` that ticks the supervisor after every
+   stage: the checkpoint waits only for the slowest replica.
 
 Outputs must be identical; the cluster must match or beat in-process
 throughput (the replica sleeps release the GIL, so the overlap wins
@@ -26,7 +26,8 @@ import time
 import numpy as np
 from conftest import print_table, record_result
 
-from repro.mvx import InferenceOptions, MvteeSystem, ResponseAction, SchedulingMode
+from repro.mvx import InferenceOptions, MvteeSystem, ResponseAction
+from repro.serving import ParallelStageExecutor
 from repro.zoo import build_model
 
 NUM_REQUESTS = 10
@@ -91,19 +92,16 @@ def summarize(latencies: list[float]) -> dict:
 
 def compute() -> dict:
     inprocess = deploy("inprocess")
-    serial_outputs, serial_latencies = timed_stream(
-        inprocess, InferenceOptions(scheduling=SchedulingMode.SEQUENTIAL)
-    )
+    serial_outputs, serial_latencies = timed_stream(inprocess, InferenceOptions())
 
     cluster_system = deploy("process")
     try:
-        dispatcher = cluster_system.cluster.dispatcher(max_workers=NUM_VARIANTS + 1)
+        dispatcher = ParallelStageExecutor(
+            NUM_VARIANTS + 1, after_stage=cluster_system.cluster.poll
+        )
         with dispatcher:
             cluster_outputs, cluster_latencies = timed_stream(
-                cluster_system,
-                InferenceOptions(
-                    scheduling=SchedulingMode.SEQUENTIAL, dispatcher=dispatcher
-                ),
+                cluster_system, InferenceOptions(dispatcher=dispatcher)
             )
         live_workers = cluster_system.cluster.live_worker_count()
     finally:

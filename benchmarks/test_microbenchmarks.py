@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.crypto.aead import get_aead
-from repro.mvx import MvteeSystem
+from repro.mvx import InferenceOptions, MvteeSystem
 from repro.mvx.consistency import ConsistencyPolicy
 from repro.partition import ContractionSettings, random_contraction
+from repro.serving import ParallelStageExecutor
 from repro.zoo import build_model
 
 
@@ -79,11 +80,9 @@ def test_bench_parallel_vs_serial_dispatch(benchmark, deployed):
     feeds = {
         "input": np.random.default_rng(2).normal(size=(1, 3, 16, 16)).astype(np.float32)
     }
-    deployed.monitor.parallel_dispatch = True
-    try:
-        outputs = benchmark(lambda: deployed.infer(feeds))
-    finally:
-        deployed.monitor.parallel_dispatch = False
+    with ParallelStageExecutor(4) as executor:
+        options = InferenceOptions(dispatcher=executor)
+        outputs = benchmark(lambda: deployed.infer(feeds, options))
     assert outputs
 
 

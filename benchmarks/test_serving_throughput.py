@@ -23,7 +23,7 @@ import time
 import numpy as np
 from conftest import print_table, record_result
 
-from repro.mvx import InferenceOptions, MvteeSystem, ResponseAction, SchedulingMode
+from repro.mvx import InferenceOptions, MvteeSystem, ResponseAction
 from repro.serving import (
     ClosedLoopLoadGenerator,
     ParallelStageExecutor,
@@ -70,14 +70,10 @@ def compute() -> dict:
 
     # 1. Serial vs parallel replica dispatch, identical work.
     start = time.monotonic()
-    serial_results = system.infer_batches(
-        stream, InferenceOptions(scheduling=SchedulingMode.SEQUENTIAL)
-    )
+    serial_results = system.infer_batches(stream)
     serial_wall = time.monotonic() - start
     with ParallelStageExecutor(max_workers=4) as executor:
-        options = InferenceOptions(
-            scheduling=SchedulingMode.SEQUENTIAL, dispatcher=executor
-        )
+        options = InferenceOptions(dispatcher=executor)
         start = time.monotonic()
         parallel_results = system.infer_batches(stream, options)
         parallel_wall = time.monotonic() - start

@@ -16,7 +16,7 @@ import numpy as np
 from repro.mvx.bootstrap import ModelOwner, Orchestrator
 from repro.mvx.config import MvxConfig
 from repro.mvx.monitor import Monitor
-from repro.mvx.scheduler import InferenceOptions, SchedulingMode, run
+from repro.mvx.scheduler import run
 from repro.mvx.updates import partial_update
 from repro.offline import OfflineTool, ToolConfig
 from repro.tee.attestation import Verifier, fresh_nonce
@@ -74,9 +74,7 @@ def main() -> None:
     batches = [
         {"input": rng.normal(size=(1, 3, 16, 16)).astype(np.float32)} for _ in range(6)
     ]
-    results, stats = run(
-        monitor, batches, InferenceOptions(scheduling=SchedulingMode.PIPELINED)
-    )
+    results, stats = run(monitor, batches)
     print(f"[user] {stats.batches} batches through the pipeline, "
           f"{stats.checkpoints_evaluated} checkpoints evaluated, "
           f"{stats.divergences} divergences")
@@ -95,9 +93,7 @@ def main() -> None:
     retired = [e.variant_id for e in monitor.ledger.entries if e.event == "retire"]
     print(f"[ledger] retired: {retired}")
 
-    out_after = run(
-        monitor, batches[:1], InferenceOptions(scheduling=SchedulingMode.PIPELINED)
-    )[0][0]
+    out_after = run(monitor, batches[:1])[0][0]
     before = next(iter(results[0].values()))
     after = next(iter(out_after.values()))
     assert np.allclose(before, after, atol=1e-2)

@@ -11,7 +11,7 @@ Run:  python examples/selective_pipeline_tuning.py
 
 import numpy as np
 
-from repro.mvx import InferenceOptions, MvteeSystem, SchedulingMode
+from repro.mvx import MvteeSystem
 from repro.mvx.config import MvxConfig
 from repro.simulation import CostModel, RUNTIME_FACTORS, simulate
 from repro.simulation.scenarios import (
@@ -99,9 +99,7 @@ def main() -> None:
         {"input": np.random.default_rng(i).normal(size=(1, 3, 16, 16)).astype(np.float32)}
         for i in range(4)
     ]
-    system.infer_batches(
-        batches, InferenceOptions(scheduling=SchedulingMode.PIPELINED)
-    )
+    system.infer_batches(batches)
     stats = system.last_stats
     print(f"functional deployment: {stats.batches} batches, "
           f"{stats.checkpoints_evaluated} checkpoints, "

@@ -35,8 +35,7 @@ def main() -> None:
     tracer = Tracer(exporters=[ring])
     registry = MetricsRegistry()
     service = InferenceService(
-        system, pipelined=True, controller=controller,
-        registry=registry, tracer=tracer,
+        system, controller=controller, registry=registry, tracer=tracer
     )
     rng = np.random.default_rng(0)
 

@@ -254,9 +254,18 @@ class _VirtualMutex:
 class _VirtualTask:
     """A submitted task's future, waited on in virtual time."""
 
-    def __init__(self, future, done: _VirtualEvent):
+    def __init__(self, future, done: _VirtualEvent, clock: "VirtualClock"):
         self._future = future
         self._done = done
+        self._clock = clock
+
+    def cancel(self) -> bool:
+        """Cancel the task if it has not started; False if it has."""
+        if not self._future.cancel():
+            return False
+        # The body never runs, so it never drops the hold taken for it.
+        self._clock._release()
+        return True
 
     def result(self, timeout: float | None = None):
         if not self._done.wait(timeout):
@@ -346,7 +355,7 @@ class VirtualClock(Clock):
         except BaseException:
             self._release()
             raise
-        return _VirtualTask(future, done)
+        return _VirtualTask(future, done, self)
 
     # -- parking --------------------------------------------------------
 

@@ -15,15 +15,14 @@ process, giving the MVX layer crash-grade fault isolation:
   :class:`~repro.mvx.transport.Transport` implementation routing the
   monitor's protected records through workers;
 - :mod:`repro.cluster.supervisor` -- heartbeats, crash escalation,
-  restart policy, teardown;
-- :mod:`repro.cluster.dispatch` -- the stage dispatcher that ties a
-  serving engine to the supervisor.
+  restart policy, teardown.  A serving engine over the deployment runs
+  the supervisor's ``poll`` after every stage (the ``after_stage`` hook
+  of :class:`~repro.serving.executor.ParallelStageExecutor`).
 
 Select it with ``MvteeSystem.deploy(execution="process")``; the default
 remains in-process execution.
 """
 
-from repro.cluster.dispatch import ProcessDispatcher
 from repro.cluster.shm import (
     SHM_THRESHOLD_BYTES,
     cleanup_segments,
@@ -39,7 +38,6 @@ __all__ = [
     "EXIT_CRASHED",
     "SHM_THRESHOLD_BYTES",
     "ClusterSupervisor",
-    "ProcessDispatcher",
     "ProcessTransport",
     "RestartPolicy",
     "WorkerCrashed",

@@ -267,12 +267,6 @@ class ClusterSupervisor:
         with self._lock:
             return [vid for vid, slot in self._slots.items() if slot.abandoned]
 
-    def dispatcher(self, **kwargs):
-        """A :class:`~repro.cluster.dispatch.ProcessDispatcher` over this fleet."""
-        from repro.cluster.dispatch import ProcessDispatcher
-
-        return ProcessDispatcher(self, **kwargs)
-
     # ------------------------------------------------------------------
     # Supervision loop
     # ------------------------------------------------------------------
@@ -288,13 +282,13 @@ class ClusterSupervisor:
     def poll(self) -> None:
         """One supervision tick: liveness, gauges, due restarts.
 
-        Also called synchronously by the dispatcher after each stage so
-        a worker that died mid-batch is restarted without waiting for
-        the next heartbeat tick.  Safe for any number of concurrent
-        callers (the serving engine overlaps batches, so several
-        dispatchers may tick at once): a tick that finds another one in
-        progress simply yields to it -- supervision work is idempotent
-        and the in-flight tick covers the whole fleet.
+        Also called synchronously after each stage (the serving
+        engine's ``after_stage`` hook) so a worker that died mid-batch
+        is restarted without waiting for the next heartbeat tick.  Safe
+        for any number of concurrent callers (the serving engine
+        overlaps batches, so several may tick at once): a tick that
+        finds another one in progress simply yields to it -- supervision
+        work is idempotent and the in-flight tick covers the whole fleet.
         """
         if not self._lock.acquire(blocking=False):
             return

@@ -16,8 +16,8 @@ Composition (§4.3):
 - :mod:`repro.mvx.bootstrap` -- the Figure 6 initialization/update
   workflow binding model owner, orchestrator, monitor and variants.
 - :mod:`repro.mvx.scheduler` -- the unified :func:`run` entry point
-  (:class:`InferenceOptions`: sequential/pipelined scheduling, sync and
-  asynchronous cross-validation, slow/fast path, tracer + metrics).
+  (:class:`InferenceOptions`: the run's observability sinks, replica
+  dispatcher and batch-id base).
 - :mod:`repro.mvx.system` -- the high-level facade tying it together.
 
 Every stage execution, variant round trip, checkpoint evaluation,
@@ -36,14 +36,7 @@ from repro.mvx.bootstrap import (
     bootstrap_deployment,
     combined_attestation,
 )
-from repro.mvx.scheduler import (
-    ExecutionMode,
-    InferenceOptions,
-    PathMode,
-    SchedulingMode,
-    run,
-    validate_feeds,
-)
+from repro.mvx.scheduler import InferenceOptions, run, validate_feeds
 from repro.mvx.service import InferenceService, RequestState, ServiceMetrics
 from repro.mvx.system import MvteeSystem
 from repro.mvx.adaptive import AdaptiveController, ScalingAction
@@ -62,7 +55,6 @@ __all__ = [
     "DirectTransport",
     "DivergenceEvent",
     "FabricTransport",
-    "ExecutionMode",
     "InferenceOptions",
     "InferenceService",
     "Monitor",
@@ -74,9 +66,7 @@ __all__ = [
     "MvxConfig",
     "Orchestrator",
     "PartitionClaim",
-    "PathMode",
     "ResponseAction",
-    "SchedulingMode",
     "VariantHost",
     "VariantUnavailable",
     "VoteResult",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import secrets
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from repro.observability.recorder import (
     KIND_VARIANT_REPLACED,
     FlightRecorder,
 )
+from repro.observability.sinks import Sinks
 from repro.observability.tracing import NullTracer, Tracer
 from repro.partition.partition import PartitionSet
 from repro.mvx.transport import Transport
@@ -45,6 +47,9 @@ from repro.tee.attestation import AttestationError, Verifier
 from repro.tee.channel import ChannelError, SecureChannel, establish_channel
 from repro.tee.enclave import Enclave
 from repro.variants.pool import VariantPool
+
+if TYPE_CHECKING:
+    from repro.mvx.scheduler import InferenceOptions
 
 __all__ = ["Monitor", "MonitorError", "VariantConnection"]
 
@@ -104,26 +109,14 @@ class Monitor:
     #: :class:`repro.mvx.transport.FabricTransport` models distributed
     #: deployment across an untrusted network.
     transport: "Transport | None" = None
-    #: Dispatch slow-path variant requests concurrently (thread pool).
-    #: Functionally identical to serial dispatch; numpy kernels release
-    #: the GIL, so replicated variants of a stage genuinely overlap.
-    parallel_dispatch: bool = False
-    #: Pluggable replica dispatcher: an object with
-    #: ``dispatch(monitor, connections, batch_id, feeds) -> list[VariantOutput]``
-    #: (e.g. :class:`repro.serving.executor.ParallelStageExecutor`).
-    #: Takes precedence over ``parallel_dispatch``; the scheduler
-    #: installs a run's dispatcher for the duration of that run.
-    dispatcher: object | None = None
-    #: Observability sinks: the tracer receives ``variant`` and
-    #: ``checkpoint`` spans (nested under the scheduler's ``stage``
-    #: spans); detection/recovery counters go to ``metrics`` (None =
-    #: the process-wide registry).  The scheduler installs a run's
-    #: tracer/registry for the duration of that run.
+    #: The deployment's observability sinks (see :attr:`sinks`): the
+    #: tracer receives ``variant`` and ``checkpoint`` spans,
+    #: detection/recovery counters go to ``metrics`` (None = the
+    #: process-wide registry), the recorder is the tamper-evident audit
+    #: log (None = not recording).  A run's sinks never overwrite them:
+    #: they travel with the run into :meth:`execute_stage`.
     tracer: Tracer = field(default_factory=NullTracer)
     metrics: MetricsRegistry | None = None
-    #: Tamper-evident audit log (None = not recording).  Installed
-    #: deployment-wide by :meth:`MvteeSystem.deploy` or per run via
-    #: :class:`~repro.mvx.scheduler.InferenceOptions`.
     recorder: FlightRecorder | None = None
     #: Forensic reports of the most recent detections (always on: the
     #: store is bounded and reports carry digests, not tensors).
@@ -134,24 +127,14 @@ class Monitor:
     _policy: ConsistencyPolicy = field(default_factory=ConsistencyPolicy)
     _provision_nonces: set[bytes] = field(default_factory=set)
     #: Deferred async cross-validation checks: (batch, partition,
-    #: accepted outputs, laggard connections, stage feeds).
-    _deferred: list[tuple[int, int, dict, list[VariantConnection], dict]] = field(
-        default_factory=list
+    #: accepted outputs, laggard connections, stage feeds, the sinks of
+    #: the run that deferred them).
+    _deferred: list[tuple[int, int, dict, list[VariantConnection], dict, Sinks]] = (
+        field(default_factory=list)
     )
     #: Guards shared mutable detection state (events, deferred checks,
     #: connection lists) against concurrent replica dispatch threads.
     _state_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    #: Per-thread run-scoped dispatcher override.  The scheduler
-    #: installs a run's dispatcher here (not on ``dispatcher``) so
-    #: overlapping runs on different engine worker threads each see
-    #: their own per-batch deadline view.
-    _tls: threading.local = field(default_factory=threading.local, repr=False)
-    #: Refcounted install/restore of run-scoped sinks (config, tracer,
-    #: metrics, recorder): the first concurrent run installs, the last
-    #: restores.  Managed by :func:`repro.mvx.scheduler.run`.
-    _run_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _run_refs: int = field(default=0, repr=False)
-    _run_saved: tuple | None = field(default=None, repr=False)
 
     @property
     def partition_set(self) -> PartitionSet:
@@ -163,22 +146,36 @@ class Monitor:
         """The registry detection/recovery counters are recorded into."""
         return self.metrics if self.metrics is not None else get_global_registry()
 
+    @property
+    def sinks(self) -> Sinks:
+        """The deployment's sinks, with the registry resolved.
+
+        What calls outside a run report to (bootstrap, variant binding
+        and retirement, out-of-band crash reports), and what a run's
+        unset sinks fall back to.
+        """
+        return Sinks(
+            tracer=self.tracer, metrics=self.metrics_registry, recorder=self.recorder
+        )
+
     def incidents(self, kind: str | None = None) -> list[IncidentReport]:
         """Forensic reports of recent detections, oldest first."""
         return self.incident_store.incidents(kind)
 
-    def _audit(self, kind: str, **data) -> None:
-        """Append one event to the flight recorder, if one is installed."""
-        if self.recorder is not None:
-            self.recorder.record(kind, **data)
+    @staticmethod
+    def _audit(sinks: Sinks, kind: str, **data) -> None:
+        """Append one event to the sinks' flight recorder, if there is one."""
+        if sinks.recorder is not None:
+            sinks.recorder.record(kind, **data)
 
-    def _capture_incident(self, report: IncidentReport) -> IncidentReport:
+    def _capture_incident(self, sinks: Sinks, report: IncidentReport) -> IncidentReport:
         """Store one incident and surface it in metrics + audit log."""
         self.incident_store.add(report)
-        self.metrics_registry.counter(
+        sinks.metrics.counter(
             "mvtee_incidents_total", "Forensic incident reports captured"
         ).inc(kind=report.kind, partition=report.partition_index)
         self._audit(
+            sinks,
             KIND_DIVERGENCE if report.kind == "divergence" else KIND_CRASH,
             incident_id=report.incident_id,
             batch=report.batch_id,
@@ -337,6 +334,7 @@ class Monitor:
             # Replacements/scale-ups change the variant set mid-flight:
             # audit-worthy in a way initial provisioning is not.
             self._audit(
+                self.sinks,
                 KIND_VARIANT_REPLACED,
                 variant=artifact.variant_id,
                 partition=partition_index,
@@ -379,11 +377,12 @@ class Monitor:
                     connection.host.crash_reason = str(error)
                     connection.host.crashed = True
                     connection.host.enclave.terminate()
-                self._record_crash(batch_id, index, connection, error)
+                self._record_crash(self.sinks, batch_id, index, connection, error)
                 return
         # Variant already dropped from the connection table: keep the
         # forensic trail anyway.
         self._capture_incident(
+            self.sinks,
             build_incident_report(
                 incident_id=self.incident_store.new_id(),
                 kind="crash",
@@ -395,7 +394,7 @@ class Monitor:
                 trace_id=self.tracer.trace_id(),
                 span_id=self.tracer.current_span_id(),
                 error=str(error),
-            )
+            ),
         )
 
     def quote(self, report_data: bytes):
@@ -417,6 +416,7 @@ class Monitor:
         batch_id: int,
         index: int,
         feeds: dict[str, np.ndarray],
+        run: "InferenceOptions",
     ) -> dict[str, np.ndarray]:
         """Run one pipeline stage for one batch through its variants.
 
@@ -424,86 +424,64 @@ class Monitor:
         replicate the input to all variants, synchronize at the
         checkpoint, evaluate consistency, vote, respond to dissent.
         Async mode: proceed on majority quorum, cross-validate laggards
-        at the next checkpoint.
+        at the next checkpoint.  Which of these a partition takes is
+        decided by the provisioned :class:`MvxConfig` alone.
+
+        ``run`` is the run's resolved options (see
+        :func:`repro.mvx.scheduler.run`): every span, metric and audit
+        entry of the stage goes to its sinks, and its dispatcher (None:
+        serial) sends the replica requests.
         """
         if self.config is None:
             raise MonitorError("no MVX configuration provisioned")
-        self._resolve_deferred(upto_partition=index, batch_id=batch_id)
+        sinks, dispatcher = run.sinks, run.dispatcher
+        self._resolve_deferred()
         connections = self.stage_connections(index)
         if not connections:
             raise MonitorError(f"no live variants remain for partition {index}")
         if not self.config.uses_slow_path(index) or len(connections) == 1:
-            return self._fast_path(batch_id, index, connections, feeds)
+            return self._fast_path(sinks, dispatcher, batch_id, index, connections[0], feeds)
         if self.config.execution_mode == "async" and len(connections) >= 3:
-            return self._slow_path_async(batch_id, index, connections, feeds)
-        return self._slow_path_sync(batch_id, index, connections, feeds)
+            return self._slow_path_async(sinks, batch_id, index, connections, feeds)
+        outputs = self._dispatch(sinks, dispatcher, connections, batch_id, feeds)
+        return self._evaluate_checkpoint(sinks, batch_id, index, connections, outputs, feeds)
 
-    def _active_dispatcher(self):
-        """The dispatcher in effect on this thread.
-
-        A run-scoped dispatcher (installed thread-locally by the
-        scheduler so overlapping runs carry independent deadlines)
-        shadows the deployment-wide ``dispatcher`` field.
-        """
-        override = getattr(self._tls, "dispatcher", None)
-        return override if override is not None else self.dispatcher
-
-    def _fast_path(self, batch_id, index, connections, feeds):
-        connection = connections[0]
-        dispatcher = self._active_dispatcher()
-        if dispatcher is not None:
-            # Route single-replica stages through the installed
-            # dispatcher too: its deadline enforcement and retry-once
-            # semantics must cover the fast path, or a 1-replica stage
-            # could run unbounded past the batch deadline.
-            result = dispatcher.dispatch(self, [connection], batch_id, feeds)[0]
-        else:
-            result = self._request_inference(connection, batch_id, feeds)
+    def _fast_path(self, sinks, dispatcher, batch_id, index, connection, feeds):
+        # Single-replica stages go through the run's dispatcher too: its
+        # deadline and retry-once semantics must bound the fast path, or
+        # a 1-replica stage could run unbounded past the batch deadline.
+        (result,) = self._dispatch(sinks, dispatcher, [connection], batch_id, feeds)
         if result.outputs is None:
-            self._record_crash(batch_id, index, connection, result.error)
+            self._record_crash(sinks, batch_id, index, connection, result.error)
             raise MonitorError(
                 f"fast-path variant {connection.variant_id} failed: {result.error}"
             )
         return result.outputs
 
-    def _slow_path_sync(self, batch_id, index, connections, feeds):
-        outputs = self._dispatch(connections, batch_id, feeds)
-        return self._evaluate_checkpoint(batch_id, index, connections, outputs, feeds)
-
-    def _dispatch(self, connections, batch_id, feeds) -> list[VariantOutput]:
-        """Send one request to every connection, optionally in parallel."""
-        dispatcher = self._active_dispatcher()
+    def _dispatch(self, sinks, dispatcher, connections, batch_id, feeds) -> list[VariantOutput]:
+        """One request to every connection: serially, or via the run's dispatcher."""
         if dispatcher is not None:
-            return dispatcher.dispatch(self, connections, batch_id, feeds)
-        if self.parallel_dispatch and len(connections) > 1:
-            from concurrent.futures import ThreadPoolExecutor
+            return dispatcher.dispatch(self, connections, batch_id, feeds, sinks)
+        return [self.request_inference(c, batch_id, feeds, sinks) for c in connections]
 
-            with ThreadPoolExecutor(max_workers=len(connections)) as pool:
-                return list(
-                    pool.map(
-                        lambda c: self._request_inference(c, batch_id, feeds),
-                        connections,
-                    )
-                )
-        return [self._request_inference(c, batch_id, feeds) for c in connections]
-
-    def _slow_path_async(self, batch_id, index, connections, feeds):
+    def _slow_path_async(self, sinks, batch_id, index, connections, feeds):
         # Query in ascending simulated latency: the quorum of fastest
         # variants decides; laggards are validated at the next checkpoint.
         ordered = sorted(connections, key=lambda c: c.host.simulated_latency)
         quorum = len(connections) // 2 + 1
         quorum_conns = ordered[:quorum]
         laggards = ordered[quorum:]
-        early = [self._request_inference(c, batch_id, feeds) for c in quorum_conns]
-        with self.tracer.span(
+        early = [self.request_inference(c, batch_id, feeds, sinks) for c in quorum_conns]
+        with sinks.tracer.span(
             "checkpoint", partition=index, batch=batch_id, mode="async-quorum"
         ) as span:
             result = vote(early, policy=self.policy_for(index), strategy="majority")
             span.set_attribute("passed", result.passed)
-        self.metrics_registry.counter(
+        sinks.metrics.counter(
             "mvtee_checkpoints_total", "Checkpoint consistency evaluations"
         ).inc(partition=index, mode="async-quorum")
         self._audit(
+            sinks,
             KIND_CHECKPOINT,
             batch=batch_id,
             partition=index,
@@ -514,34 +492,35 @@ class Monitor:
         )
         if not result.passed:
             # No early consensus: fall back to full synchronization.
-            late = [self._request_inference(c, batch_id, feeds) for c in laggards]
+            late = [self.request_inference(c, batch_id, feeds, sinks) for c in laggards]
             return self._evaluate_checkpoint(
-                batch_id, index, quorum_conns + laggards, early + late, feeds
+                sinks, batch_id, index, quorum_conns + laggards, early + late, feeds
             )
         self._handle_vote_outcome(
-            batch_id, index, quorum_conns, result, async_stage=True, outputs=early
+            sinks, batch_id, index, quorum_conns, result, async_stage=True, outputs=early
         )
         if laggards:
             with self._state_lock:
                 self._deferred.append(
-                    (batch_id, index, result.accepted, laggards, feeds)
+                    (batch_id, index, result.accepted, laggards, feeds, sinks)
                 )
         return result.accepted
 
-    def _resolve_deferred(self, *, upto_partition: int, batch_id: int) -> None:
+    def _resolve_deferred(self) -> None:
         """Cross-validate laggard results before the pipeline advances.
 
         "When results from delayed variants are received, and if any
         dissent is noted, we react to the execution at the earliest next
-        checkpoint."
+        checkpoint."  Each check reports to the sinks of the run that
+        deferred it.
         """
         if not self._deferred:
             return
         with self._state_lock:
             pending = self._deferred
             self._deferred = []
-        for d_batch, d_index, accepted, laggards, feeds in pending:
-            with self.tracer.span(
+        for d_batch, d_index, accepted, laggards, feeds, sinks in pending:
+            with sinks.tracer.span(
                 "checkpoint",
                 partition=d_index,
                 batch=d_batch,
@@ -549,10 +528,10 @@ class Monitor:
                 laggards=len(laggards),
             ):
                 for connection in laggards:
-                    result = self._request_inference(connection, d_batch, feeds)
+                    result = self.request_inference(connection, d_batch, feeds, sinks)
                     if result.outputs is None:
-                        self._record_crash(d_batch, d_index, connection, result.error)
-                        self._respond(connection, d_batch, d_index)
+                        self._record_crash(sinks, d_batch, d_index, connection, result.error)
+                        self._respond(sinks, connection, d_batch, d_index)
                         continue
                     if not self.policy_for(d_index).consistent(accepted, result.outputs):
                         event = DivergenceEvent(
@@ -564,8 +543,9 @@ class Monitor:
                         )
                         with self._state_lock:
                             self.events.append(event)
-                        self._record_divergence_metric(d_index)
+                        self._record_divergence_metric(sinks, d_index)
                         self._capture_incident(
+                            sinks,
                             build_incident_report(
                                 incident_id=self.incident_store.new_id(),
                                 kind="divergence",
@@ -579,15 +559,16 @@ class Monitor:
                                 reference_outputs=accepted,
                                 response_action=self.response_action.value,
                                 detected_async=True,
-                                trace_id=self.tracer.trace_id(),
-                                span_id=self.tracer.current_span_id(),
-                            )
+                                trace_id=sinks.tracer.trace_id(),
+                                span_id=sinks.tracer.current_span_id(),
+                            ),
                         )
-                        self._respond(connection, d_batch, d_index)
-            self.metrics_registry.counter(
+                        self._respond(sinks, connection, d_batch, d_index)
+            sinks.metrics.counter(
                 "mvtee_checkpoints_total", "Checkpoint consistency evaluations"
             ).inc(partition=d_index, mode="deferred")
             self._audit(
+                sinks,
                 KIND_CHECKPOINT,
                 batch=d_batch,
                 partition=d_index,
@@ -600,43 +581,32 @@ class Monitor:
         connection: VariantConnection,
         batch_id: int,
         feeds: dict,
+        sinks: Sinks,
         *,
         clock: Clock = REAL_CLOCK,
     ) -> VariantOutput:
-        """One monitor->variant round trip (spans + metrics included).
+        """One monitor->variant round trip, reported to ``sinks``.
 
-        The building block pluggable dispatchers compose: safe to call
-        from worker threads -- the span, counter and detection-state
-        paths it touches are lock- or GIL-protected.  The round trip is
-        timed on ``clock`` into ``mvtee_variant_roundtrip_seconds``.
+        The building block dispatchers compose: safe to call from worker
+        threads -- the span, counter and detection-state paths it
+        touches are lock- or GIL-protected.  The round trip is timed on
+        ``clock`` into ``mvtee_variant_roundtrip_seconds``.
         """
-        return self._request_inference(connection, batch_id, feeds, clock=clock)
-
-    def _request_inference(
-        self,
-        connection: VariantConnection,
-        batch_id: int,
-        feeds: dict,
-        *,
-        clock: Clock = REAL_CLOCK,
-    ) -> VariantOutput:
-        with self.tracer.span(
+        with sinks.tracer.span(
             "variant",
             variant=connection.variant_id,
             partition=connection.partition_index,
             batch=batch_id,
         ) as span:
             start = clock.now()
-            result = self._request_inference_unobserved(
-                connection, batch_id, feeds, clock
-            )
+            result = self._round_trip(connection, batch_id, feeds, clock)
             elapsed = clock.now() - start
             span.set_attribute("bytes_protected", connection.channel.bytes_protected)
             if result.outputs is None:
                 span.record_error(result.error)
         # Per replica, including whatever latency the host adds: the
         # straggler signal is skew between replicas of one partition.
-        self.metrics_registry.histogram(
+        sinks.metrics.histogram(
             "mvtee_variant_roundtrip_seconds",
             "Monitor-observed round-trip seconds per variant request",
         ).observe(
@@ -644,7 +614,7 @@ class Monitor:
             variant=connection.variant_id,
             partition=connection.partition_index,
         )
-        self.metrics_registry.counter(
+        sinks.metrics.counter(
             "mvtee_variant_requests_total", "Monitor->variant inference round trips"
         ).inc(
             partition=connection.partition_index,
@@ -652,12 +622,9 @@ class Monitor:
         )
         return result
 
-    def _request_inference_unobserved(
-        self,
-        connection: VariantConnection,
-        batch_id: int,
-        feeds: dict,
-        clock: Clock = REAL_CLOCK,
+    @staticmethod
+    def _round_trip(
+        connection: VariantConnection, batch_id: int, feeds: dict, clock: Clock
     ) -> VariantOutput:
         try:
             msg_type, meta, tensors = connection.request(
@@ -675,8 +642,8 @@ class Monitor:
             )
         return VariantOutput(variant_id=connection.variant_id, outputs=tensors)
 
-    def _evaluate_checkpoint(self, batch_id, index, connections, outputs, feeds) -> dict:
-        with self.tracer.span(
+    def _evaluate_checkpoint(self, sinks, batch_id, index, connections, outputs, feeds) -> dict:
+        with sinks.tracer.span(
             "checkpoint",
             partition=index,
             batch=batch_id,
@@ -687,10 +654,11 @@ class Monitor:
             span.set_attribute("passed", result.passed)
             if result.dissenting:
                 span.set_attribute("dissenting", list(result.dissenting))
-        self.metrics_registry.counter(
+        sinks.metrics.counter(
             "mvtee_checkpoints_total", "Checkpoint consistency evaluations"
         ).inc(partition=index, mode="sync")
         self._audit(
+            sinks,
             KIND_CHECKPOINT,
             batch=batch_id,
             partition=index,
@@ -700,7 +668,7 @@ class Monitor:
             crashed=list(result.crashed),
         )
         self._handle_vote_outcome(
-            batch_id, index, connections, result, async_stage=False, outputs=outputs
+            sinks, batch_id, index, connections, result, async_stage=False, outputs=outputs
         )
         if result.accepted is not None:
             return result.accepted
@@ -711,7 +679,7 @@ class Monitor:
             survivors = self.stage_connections(index)
             if survivors:
                 retries = [
-                    self._request_inference(c, batch_id, feeds) for c in survivors
+                    self.request_inference(c, batch_id, feeds, sinks) for c in survivors
                 ]
                 retry = vote(retries, policy=self.policy_for(index), strategy=self.config.voting)
                 if retry.accepted is not None:
@@ -728,6 +696,7 @@ class Monitor:
 
     def _handle_vote_outcome(
         self,
+        sinks: Sinks,
         batch_id,
         index,
         connections,
@@ -739,7 +708,9 @@ class Monitor:
         by_id = {c.variant_id: c for c in connections}
         for variant_id in result.crashed:
             connection = by_id[variant_id]
-            self._record_crash(batch_id, index, connection, connection.host.crash_reason)
+            self._record_crash(
+                sinks, batch_id, index, connection, connection.host.crash_reason
+            )
         if result.dissenting:
             event = DivergenceEvent(
                 batch_id=batch_id,
@@ -751,17 +722,18 @@ class Monitor:
             )
             with self._state_lock:
                 self.events.append(event)
-            self._record_divergence_metric(index)
+            self._record_divergence_metric(sinks, index)
             self._capture_divergence_incident(
-                batch_id, index, result, outputs, async_stage=async_stage
+                sinks, batch_id, index, result, outputs, async_stage=async_stage
             )
             for variant_id in result.dissenting:
-                self._respond(by_id[variant_id], batch_id, index)
+                self._respond(sinks, by_id[variant_id], batch_id, index)
         for variant_id in result.crashed:
-            self._respond(by_id[variant_id], batch_id, index)
+            self._respond(sinks, by_id[variant_id], batch_id, index)
 
     def _capture_divergence_incident(
         self,
+        sinks: Sinks,
         batch_id,
         index,
         result: VoteResult,
@@ -777,6 +749,7 @@ class Monitor:
         if result.agreeing:
             reference = outputs_by_variant.get(result.agreeing[0])
         self._capture_incident(
+            sinks,
             build_incident_report(
                 incident_id=self.incident_store.new_id(),
                 kind="divergence",
@@ -789,17 +762,18 @@ class Monitor:
                 consistency_reports=result.reports,
                 response_action=self.response_action.value,
                 detected_async=async_stage,
-                trace_id=self.tracer.trace_id(),
-                span_id=self.tracer.current_span_id(),
-            )
+                trace_id=sinks.tracer.trace_id(),
+                span_id=sinks.tracer.current_span_id(),
+            ),
         )
 
-    def _record_divergence_metric(self, index: int) -> None:
-        self.metrics_registry.counter(
+    @staticmethod
+    def _record_divergence_metric(sinks: Sinks, index: int) -> None:
+        sinks.metrics.counter(
             "mvtee_divergences_total", "Divergence detections"
         ).inc(partition=index)
 
-    def _record_crash(self, batch_id, index, connection, error) -> None:
+    def _record_crash(self, sinks: Sinks, batch_id, index, connection, error) -> None:
         with self._state_lock:
             self.events.append(
                 CrashEvent(
@@ -809,7 +783,7 @@ class Monitor:
                     error=str(error),
                 )
             )
-        self.metrics_registry.counter(
+        sinks.metrics.counter(
             "mvtee_crashes_total", "Variant crash detections"
         ).inc(partition=index)
         survivors = [
@@ -818,6 +792,7 @@ class Monitor:
             if c.variant_id != connection.variant_id
         ]
         self._capture_incident(
+            sinks,
             build_incident_report(
                 incident_id=self.incident_store.new_id(),
                 kind="crash",
@@ -826,15 +801,18 @@ class Monitor:
                 suspected_culprits=(connection.variant_id,),
                 agreeing_variants=tuple(survivors),
                 response_action=self.response_action.value,
-                trace_id=self.tracer.trace_id(),
-                span_id=self.tracer.current_span_id(),
+                trace_id=sinks.tracer.trace_id(),
+                span_id=sinks.tracer.current_span_id(),
                 error=str(error),
-            )
+            ),
         )
 
-    def _respond(self, connection: VariantConnection, batch_id: int, index: int) -> None:
+    def _respond(
+        self, sinks: Sinks, connection: VariantConnection, batch_id: int, index: int
+    ) -> None:
         """Apply the configured protective measure to a bad variant."""
         self._audit(
+            sinks,
             KIND_RESPONSE,
             action=self.response_action.value,
             variant=connection.variant_id,
@@ -848,7 +826,7 @@ class Monitor:
             ResponseAction.RESTART_BATCH,
             ResponseAction.REPLACE_VARIANT,
         ):
-            self.metrics_registry.counter(
+            sinks.metrics.counter(
                 "mvtee_recovery_actions_total", "Protective responses applied"
             ).inc(action=self.response_action.value)
             if not connection.host.crashed:
@@ -888,6 +866,7 @@ class Monitor:
                     c for c in connections if c.variant_id != variant_id
                 ]
                 self._audit(
+                    self.sinks,
                     KIND_VARIANT_REPLACED,
                     variant=variant_id,
                     partition=index,

@@ -1,91 +1,49 @@
-"""Execution scheduling: one unified entry point, sync and async.
+"""Execution scheduling: one entry point, one loop.
 
 The execution model of §4.3: variant TEEs form a DAG mirroring the
 partition topology and process private user data "in a pipelined
-manner".  Sequential execution completes all stages of a batch before
-the next batch begins; pipelined execution keeps every stage busy with a
-different batch.  This module drives the *functional* execution through
-the monitor (correctness, detection); wall-clock performance of the two
-modes is reproduced by :mod:`repro.simulation`.
+manner".  This module drives the *functional* execution through the
+monitor (correctness, detection): every batch of a run passes every
+stage in order.  Overlap across batches comes from the serving engine,
+which keeps ``ServingPolicy.num_workers`` runs in flight at once;
+wall-clock performance of the paper's pipelined mode is reproduced by
+:mod:`repro.simulation`.
 
 The single entry point is :func:`run` with an :class:`InferenceOptions`
-bundle (scheduling mode, checkpoint discipline, path mode and the
-observability :class:`~repro.observability.sinks.Sinks`).  Every run
-produces an ``infer -> batch -> stage`` span tree through the
-configured tracer (the monitor adds ``variant`` and ``checkpoint``
-leaves) and stage latency histograms in the metrics registry.
+bundle (observability :class:`~repro.observability.sinks.Sinks`, replica
+dispatcher, batch-id base).  The run resolves its options once and
+hands them to every :meth:`Monitor.execute_stage`; nothing on the
+shared monitor changes, so overlapping runs keep their sinks apart.
+Every run produces an ``infer -> batch -> stage`` span tree through its
+tracer (the monitor adds ``variant`` and ``checkpoint`` leaves) and
+stage latency histograms in its metrics registry.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.mvx.monitor import Monitor
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.recorder import FlightRecorder
-from repro.observability.sinks import Sinks, coerce_sinks
-from repro.observability.tracing import Span, Tracer
+from repro.observability.sinks import Sinks
 
-__all__ = [
-    "ExecutionMode",
-    "InferenceOptions",
-    "PathMode",
-    "RunStats",
-    "SchedulingMode",
-    "run",
-    "validate_feeds",
-]
-
-
-class ExecutionMode(enum.Enum):
-    """Checkpoint synchronization discipline."""
-
-    SYNC = "sync"
-    ASYNC = "async"
-
-
-class PathMode(enum.Enum):
-    """Checkpoint evaluation path (Figure 7)."""
-
-    FAST = "fast"
-    SLOW = "slow"
-    HYBRID = "hybrid"
-
-
-class SchedulingMode(enum.Enum):
-    """Batch admission discipline."""
-
-    SEQUENTIAL = "sequential"
-    PIPELINED = "pipelined"
+__all__ = ["InferenceOptions", "RunStats", "run", "validate_feeds"]
 
 
 @dataclass(frozen=True)
 class InferenceOptions:
     """Everything one inference run needs beyond the batches themselves.
 
-    ``mode`` / ``path_mode`` override the deployment's provisioned
-    checkpoint discipline and Figure-7 path selection for the duration
-    of the run; ``None`` keeps the provisioned value.  ``sinks``
-    bundles the run's observability output (tracer, metrics registry,
-    flight recorder); unset sinks fall back to the monitor's tracer,
-    the process-wide registry and the deployment's recorder.  The
-    individual ``tracer=`` / ``metrics=`` / ``recorder=`` kwargs are
-    deprecated spellings of the same bundle.
+    ``sinks`` bundles the run's observability output (tracer, metrics
+    registry, flight recorder); unset fields fall back to the
+    deployment's sinks (:attr:`Monitor.sinks`).
 
-    ``dispatcher`` installs a replica dispatcher on the monitor for the
-    duration of the run -- an object with
-    ``dispatch(monitor, connections, batch_id, feeds)`` such as
-    :class:`repro.serving.executor.ParallelStageExecutor`, which runs
-    the variant replicas of a stage concurrently.
-
-    ``sinks.recorder`` installs a tamper-evident flight recorder on the
-    monitor for the duration of the run; ``None`` keeps whatever
-    recorder the deployment already has (possibly none).
+    ``dispatcher`` sends the variant requests of each stage -- an object
+    with ``dispatch(monitor, connections, batch_id, feeds, sinks)`` such
+    as :class:`repro.serving.executor.ParallelStageExecutor`, which runs
+    the replicas of a stage concurrently.  ``None`` dispatches serially.
 
     ``batch_id_base`` offsets the monitor-facing batch ids of the run:
     batch ``i`` of the stream is identified as ``batch_id_base + i`` in
@@ -93,51 +51,26 @@ class InferenceOptions:
     one deployment (the serving engine overlaps
     ``ServingPolicy.num_workers`` of them) must use disjoint bases so
     their batch ids never collide.
+
+    The checkpoint discipline (execution mode, path mode, voting) is not
+    a run option: it is the :class:`~repro.mvx.config.MvxConfig` the
+    model owner provisioned, and no run can change it.
     """
 
-    scheduling: SchedulingMode = SchedulingMode.SEQUENTIAL
-    mode: ExecutionMode | None = None
-    path_mode: PathMode | None = None
     sinks: Sinks | None = None
-    tracer: Tracer | None = None
-    metrics: MetricsRegistry | None = None
     dispatcher: object | None = None
-    recorder: FlightRecorder | None = None
     batch_id_base: int = 0
-
-    def __post_init__(self):
-        resolved = coerce_sinks(
-            self.sinks,
-            owner="InferenceOptions",
-            tracer=self.tracer,
-            metrics=self.metrics,
-            recorder=self.recorder,
-            stacklevel=4,
-        )
-        # The trio fields stay the canonical storage the scheduler and
-        # monitor read; the frozen dataclass is normalized in place.
-        object.__setattr__(self, "sinks", resolved)
-        object.__setattr__(self, "tracer", resolved.tracer)
-        object.__setattr__(self, "metrics", resolved.metrics)
-        object.__setattr__(self, "recorder", resolved.recorder)
 
 
 @dataclass
 class RunStats:
-    """Counters of one run.
-
-    ``extra["stage_seconds"]`` (partition index -> cumulative seconds)
-    is kept populated for one deprecation cycle; the canonical record
-    is now the ``mvtee_stage_seconds`` histogram in the run's
-    :class:`~repro.observability.metrics.MetricsRegistry`.
-    """
+    """Counters of one run."""
 
     batches: int = 0
     stage_executions: int = 0
     checkpoints_evaluated: int = 0
     divergences: int = 0
     crashes: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def validate_feeds(monitor: Monitor, feeds: dict[str, np.ndarray]) -> None:
@@ -168,104 +101,6 @@ def validate_feeds(monitor: Monitor, feeds: dict[str, np.ndarray]) -> None:
             )
 
 
-def _stage_once(
-    monitor: Monitor,
-    env: dict,
-    batch_id: int,
-    index: int,
-    stats: RunStats,
-    tracer: Tracer,
-    registry: MetricsRegistry,
-    batch_span: Span | None,
-) -> None:
-    partition_set = monitor.partition_set
-    feeds = partition_set.stage_feeds(index, env)
-    with tracer.span(
-        "stage", parent=batch_span, partition=index, batch=batch_id
-    ) as span:
-        start = time.perf_counter()
-        outputs = monitor.execute_stage(batch_id, index, feeds)
-        elapsed = time.perf_counter() - start
-    env.update(outputs)
-    stats.stage_executions += 1
-    registry.histogram(
-        "mvtee_stage_seconds", "Wall-clock seconds per stage execution"
-    ).observe(elapsed, partition=index)
-    registry.counter(
-        "mvtee_stage_executions_total", "Stage executions"
-    ).inc(partition=index)
-    # Deprecated: superseded by the mvtee_stage_seconds histogram.
-    timings = stats.extra.setdefault("stage_seconds", {})
-    timings[index] = timings.get(index, 0.0) + elapsed
-    if monitor.config is not None and monitor.config.uses_slow_path(index):
-        stats.checkpoints_evaluated += 1
-        span.set_attribute("slow_path", True)
-
-
-def _finalize(monitor: Monitor, env: dict) -> dict[str, np.ndarray]:
-    return {spec.name: env[spec.name] for spec in monitor.partition_set.model.outputs}
-
-
-def _install_run_options(
-    monitor: Monitor,
-    options: InferenceOptions,
-    tracer: Tracer,
-    registry: MetricsRegistry,
-):
-    """Install run-scoped options on the monitor; returns restore state.
-
-    The dispatcher goes into the monitor's *thread-local* slot: each
-    overlapping run executes on its own thread and carries its own
-    per-batch deadline view, so the deployment-wide ``dispatcher``
-    field must not be clobbered.  The shared sinks (config overrides,
-    tracer, metrics, recorder) are refcounted -- the first concurrent
-    run installs them, the last restores the provisioned values.
-    Overlapping runs are expected to pass identical sink options (the
-    serving engine does); a run that joins with *different* sinks keeps
-    the first run's installation until the monitor goes idle.
-    """
-    prev_dispatcher = getattr(monitor._tls, "dispatcher", None)
-    if options.dispatcher is not None:
-        monitor._tls.dispatcher = options.dispatcher
-    with monitor._run_lock:
-        monitor._run_refs += 1
-        if monitor._run_refs == 1:
-            monitor._run_saved = (
-                monitor.config,
-                monitor.tracer,
-                monitor.metrics,
-                monitor.recorder,
-            )
-            overrides = {}
-            if options.mode is not None:
-                overrides["execution_mode"] = options.mode.value
-            if options.path_mode is not None:
-                overrides["path_mode"] = options.path_mode.value
-            if overrides and monitor.config is not None:
-                monitor.config = dataclasses.replace(monitor.config, **overrides)
-            monitor.tracer, monitor.metrics = tracer, registry
-            if options.recorder is not None:
-                monitor.recorder = options.recorder
-    return prev_dispatcher
-
-
-def _restore_run_options(
-    monitor: Monitor, options: InferenceOptions, prev_dispatcher
-) -> None:
-    if options.dispatcher is not None:
-        monitor._tls.dispatcher = prev_dispatcher
-    with monitor._run_lock:
-        monitor._run_refs -= 1
-        if monitor._run_refs == 0:
-            (
-                monitor.config,
-                monitor.tracer,
-                monitor.metrics,
-                monitor.recorder,
-            ) = monitor._run_saved
-            monitor._run_saved = None
-
-
 def run(
     monitor: Monitor,
     batches: list[dict[str, np.ndarray]],
@@ -274,121 +109,58 @@ def run(
     """Process a batch stream through the deployment.
 
     The unified entry point behind :meth:`MvteeSystem.infer_batches`:
-    validates every batch at the trust boundary, applies the options'
-    execution/path overrides to the provisioned config for the duration
-    of the run, and emits the full span tree and stage metrics.
+    validates every batch at the trust boundary, runs each batch through
+    every stage in order, and emits the full span tree and stage
+    metrics into the run's sinks.
 
     Safe to call concurrently from several threads against one monitor
-    (the serving engine overlaps batches this way): the dispatcher is
-    installed per thread, the remaining option sinks via refcounted
-    install/restore, and ``options.batch_id_base`` keeps monitor-facing
-    batch ids disjoint across overlapping runs.
+    (the serving engine overlaps batches this way): each run carries its
+    own resolved options down the call chain, and
+    ``options.batch_id_base`` keeps monitor-facing batch ids disjoint
+    across overlapping runs.
     """
     options = options or InferenceOptions()
     for feeds in batches:
         validate_feeds(monitor, feeds)
-    tracer = options.tracer if options.tracer is not None else monitor.tracer
-    registry = (
-        options.metrics if options.metrics is not None else monitor.metrics_registry
+    # Resolved once: the frozen value every stage of the run receives.
+    resolved = replace(options, sinks=(options.sinks or Sinks()).merged_over(monitor.sinks))
+    tracer, registry = resolved.sinks.tracer, resolved.sinks.metrics
+    stage_seconds = registry.histogram(
+        "mvtee_stage_seconds", "Wall-clock seconds per stage execution"
     )
-    prev_dispatcher = _install_run_options(monitor, options, tracer, registry)
-    try:
-        stats = RunStats()
-        config = monitor.config
-        with tracer.span(
-            "infer",
-            scheduling=options.scheduling.value,
-            execution_mode=config.execution_mode if config else None,
-            path_mode=config.path_mode if config else None,
-            num_batches=len(batches),
-        ) as root:
-            if options.scheduling is SchedulingMode.PIPELINED:
-                results = _run_pipelined(
-                    monitor, batches, stats, tracer, registry, root,
-                    options.batch_id_base,
-                )
-            else:
-                results = _run_sequential(
-                    monitor, batches, stats, tracer, registry, root,
-                    options.batch_id_base,
-                )
-        stats.divergences = len(monitor.divergence_events())
-        stats.crashes = len(monitor.crash_events())
-        return results, stats
-    finally:
-        _restore_run_options(monitor, options, prev_dispatcher)
-
-
-def _run_sequential(
-    monitor: Monitor,
-    batches: list[dict[str, np.ndarray]],
-    stats: RunStats,
-    tracer: Tracer,
-    registry: MetricsRegistry,
-    root: Span,
-    base: int = 0,
-) -> list[dict[str, np.ndarray]]:
+    stage_count = registry.counter("mvtee_stage_executions_total", "Stage executions")
+    batch_count = registry.counter("mvtee_batches_total", "Batches completed")
+    partition_set = monitor.partition_set
+    config = monitor.config
+    stats = RunStats()
     results = []
-    num_stages = len(monitor.partition_set)
-    batch_counter = registry.counter("mvtee_batches_total", "Batches completed")
-    for local_id, feeds in enumerate(batches):
-        batch_id = base + local_id
-        env = dict(feeds)
-        with tracer.span("batch", parent=root, batch=batch_id) as batch_span:
-            for index in range(num_stages):
-                _stage_once(
-                    monitor, env, batch_id, index, stats, tracer, registry, batch_span
-                )
-        results.append(_finalize(monitor, env))
-        stats.batches += 1
-        batch_counter.inc(scheduling="sequential")
-    return results
-
-
-def _run_pipelined(
-    monitor: Monitor,
-    batches: list[dict[str, np.ndarray]],
-    stats: RunStats,
-    tracer: Tracer,
-    registry: MetricsRegistry,
-    root: Span,
-    base: int = 0,
-) -> list[dict[str, np.ndarray]]:
-    """Overlapping pipeline: at tick ``t``, stage ``i`` handles batch ``t-i``.
-
-    The functional outcome matches sequential execution, but checkpoint
-    evaluation interleaves across batches -- which is exactly the regime
-    in which asynchronous cross-validation defers laggard checks across
-    stage boundaries.  Batch spans stay open across ticks and collect
-    the stage spans executed on the batch's behalf.
-    """
-    num_stages = len(monitor.partition_set)
-    batch_counter = registry.counter("mvtee_batches_total", "Batches completed")
-    envs: dict[int, dict] = {}
-    spans: dict[int, Span] = {}
-    results: dict[int, dict] = {}
-    total_ticks = len(batches) + num_stages - 1
-    for tick in range(total_ticks):
-        # Later stages first within a tick: drain the pipe end before
-        # admitting new work, as a hardware pipeline would.
-        for index in reversed(range(num_stages)):
-            local_id = tick - index
-            if not 0 <= local_id < len(batches):
-                continue
-            batch_id = base + local_id
-            if index == 0:
-                envs[local_id] = dict(batches[local_id])
-                spans[local_id] = tracer.start_span(
-                    "batch", parent=root, batch=batch_id
-                )
-            env = envs[local_id]
-            _stage_once(
-                monitor, env, batch_id, index, stats, tracer, registry, spans[local_id]
-            )
-            if index == num_stages - 1:
-                results[local_id] = _finalize(monitor, env)
-                del envs[local_id]
-                tracer.end_span(spans.pop(local_id))
-                stats.batches += 1
-                batch_counter.inc(scheduling="pipelined")
-    return [results[i] for i in range(len(batches))]
+    with tracer.span(
+        "infer",
+        execution_mode=config.execution_mode if config else None,
+        path_mode=config.path_mode if config else None,
+        num_batches=len(batches),
+    ):
+        for local_id, feeds in enumerate(batches):
+            batch_id = options.batch_id_base + local_id
+            env = dict(feeds)
+            with tracer.span("batch", batch=batch_id):
+                for index in range(len(partition_set)):
+                    stage_feeds = partition_set.stage_feeds(index, env)
+                    with tracer.span("stage", partition=index, batch=batch_id) as span:
+                        start = time.perf_counter()
+                        env.update(
+                            monitor.execute_stage(batch_id, index, stage_feeds, resolved)
+                        )
+                        elapsed = time.perf_counter() - start
+                    stats.stage_executions += 1
+                    stage_seconds.observe(elapsed, partition=index)
+                    stage_count.inc(partition=index)
+                    if config is not None and config.uses_slow_path(index):
+                        stats.checkpoints_evaluated += 1
+                        span.set_attribute("slow_path", True)
+            results.append({spec.name: env[spec.name] for spec in partition_set.model.outputs})
+            stats.batches += 1
+            batch_count.inc()
+    stats.divergences = len(monitor.divergence_events())
+    stats.crashes = len(monitor.crash_events())
+    return results, stats

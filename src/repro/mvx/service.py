@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.mvx.monitor import MonitorError
-from repro.mvx.scheduler import InferenceOptions, SchedulingMode
+from repro.mvx.scheduler import InferenceOptions
 from repro.mvx.system import MvteeSystem
 from repro.observability.health import HealthMonitor, HealthReport
 from repro.observability.metrics import MetricsRegistry
@@ -121,7 +121,6 @@ class InferenceService:
         self,
         system: MvteeSystem,
         *,
-        pipelined: bool = True,
         controller: "AdaptiveController | None" = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -129,7 +128,6 @@ class InferenceService:
         health: HealthMonitor | None = None,
     ):
         self.system = system
-        self.pipelined = pipelined
         self.controller = controller
         #: Per-service registry: two services over one deployment keep
         #: independent serving counters (stage/detection metrics still
@@ -152,9 +150,6 @@ class InferenceService:
         #: threads and from the concurrent serving engine at once.
         self._lock = threading.Lock()
         self._engine = None
-
-    def _counter(self, name: str, help: str):
-        return self.registry.counter(name, help)
 
     # ------------------------------------------------------------------
     # Client surface
@@ -245,9 +240,6 @@ class InferenceService:
         if not pending:
             return 0
         options = InferenceOptions(
-            scheduling=SchedulingMode.PIPELINED
-            if self.pipelined
-            else SchedulingMode.SEQUENTIAL,
             sinks=Sinks(
                 tracer=self.tracer,
                 metrics=self.registry,
@@ -264,26 +256,19 @@ class InferenceService:
                     request.error = str(exc)
                     self._done[request.request_id] = request
                     self._queue.pop(request.request_id, None)
-            self._counter(
+            self.registry.counter(
                 "mvtee_requests_failed_total", "Requests failed by a detection"
             ).inc(len(pending))
             if self.controller is not None:
                 self.controller.observe()
             return len(pending)
-        stats = self.system.last_stats
-        self._counter(
-            "mvtee_service_batches_total", "Batches executed by the service"
-        ).inc(stats.batches)
-        self._counter(
-            "mvtee_service_checkpoints_total", "Checkpoints evaluated while serving"
-        ).inc(stats.checkpoints_evaluated)
         with self._lock:
             for request, result in zip(pending, results):
                 request.state = RequestState.DONE
                 request.result = result
                 self._done[request.request_id] = request
                 self._queue.pop(request.request_id, None)
-        self._counter(
+        self.registry.counter(
             "mvtee_requests_served_total", "Requests served to completion"
         ).inc(len(pending))
         if self.controller is not None:
@@ -396,10 +381,10 @@ class InferenceService:
                 self.registry.counter("mvtee_requests_failed_total").total()
             ),
             batches_executed=int(
-                self.registry.counter("mvtee_service_batches_total").total()
+                self.registry.counter("mvtee_batches_total").total()
             ),
             checkpoints_evaluated=int(
-                self.registry.counter("mvtee_service_checkpoints_total").total()
+                self.registry.counter("mvtee_checkpoints_total").total()
             ),
             divergences_detected=len(monitor.divergence_events()),
             crashes_detected=len(monitor.crash_events()),

@@ -21,10 +21,7 @@ from repro.mvx.monitor import Monitor
 from repro.mvx.scheduler import InferenceOptions, RunStats, run
 from repro.mvx.updates import partial_update, scale_partition
 from repro.mvx.variant_host import VariantHost
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.recorder import FlightRecorder
-from repro.observability.sinks import Sinks, coerce_sinks
-from repro.observability.tracing import Tracer
+from repro.observability.sinks import Sinks
 from repro.partition.balance import find_balanced_partition
 from repro.partition.partition import PartitionSet
 from repro.partition.verify import verify_partition_set
@@ -67,9 +64,6 @@ class MvteeSystem:
         num_platforms: int = 2,
         transport=None,
         sinks: Sinks | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        recorder: FlightRecorder | None = None,
         execution: str = "inprocess",
         restart_policy=None,
     ) -> "MvteeSystem":
@@ -79,14 +73,11 @@ class MvteeSystem:
         (selective MVX); omitted partitions run a single variant (fast
         path).  A full explicit :class:`MvxConfig` overrides it.
 
-        ``sinks`` installs deployment-wide observability sinks on the
-        monitor: every inference run reports through its tracer and
-        metrics registry unless a run's :class:`InferenceOptions`
-        overrides either, and its flight recorder receives checkpoints,
-        detections, responses and variant replacements in one hash
-        chain.  The individual ``tracer=`` / ``metrics=`` /
-        ``recorder=`` kwargs are deprecated spellings of the same
-        bundle.
+        ``sinks`` are the deployment's observability sinks: every
+        inference run reports through them unless a run's
+        :class:`InferenceOptions` carries its own, and the flight
+        recorder receives checkpoints, detections, responses and
+        variant replacements in one hash chain.
 
         ``execution`` selects where variant runtimes live: the default
         ``"inprocess"`` keeps them in this process; ``"process"`` forks
@@ -97,14 +88,7 @@ class MvteeSystem:
         are restarted.  Call :meth:`shutdown` (or rely on the atexit
         sweep) to tear the worker fleet down.
         """
-        sinks = coerce_sinks(
-            sinks,
-            owner="MvteeSystem.deploy",
-            tracer=tracer,
-            metrics=metrics,
-            recorder=recorder,
-        )
-        tracer, metrics, recorder = sinks.tracer, sinks.metrics, sinks.recorder
+        sinks = sinks if sinks is not None else Sinks()
         if execution not in ("inprocess", "process"):
             raise ValueError(
                 f"execution must be 'inprocess' or 'process', got {execution!r}"
@@ -117,7 +101,7 @@ class MvteeSystem:
                 )
             from repro.cluster import ProcessTransport
 
-            transport = ProcessTransport(metrics=metrics)
+            transport = ProcessTransport(metrics=sinks.metrics)
         partition_set = find_balanced_partition(
             model, num_partitions, restarts=partition_restarts, seed=seed
         )
@@ -146,12 +130,10 @@ class MvteeSystem:
         owner, monitor, orchestrator, hosts = bootstrap_deployment(
             pool, config, num_platforms=num_platforms, transport=transport
         )
-        if tracer is not None:
-            monitor.tracer = tracer
-        if metrics is not None:
-            monitor.metrics = metrics
-        if recorder is not None:
-            monitor.recorder = recorder
+        if sinks.tracer is not None:
+            monitor.tracer = sinks.tracer
+        monitor.metrics = sinks.metrics
+        monitor.recorder = sinks.recorder
         cluster = None
         if execution == "process":
             from repro.cluster import ClusterSupervisor
@@ -162,8 +144,8 @@ class MvteeSystem:
                 transport,
                 hosts=hosts,
                 policy=restart_policy,
-                registry=metrics,
-                recorder=monitor.recorder,
+                registry=sinks.metrics,
+                recorder=sinks.recorder,
             ).start()
         return cls(
             model=model,
@@ -193,7 +175,7 @@ class MvteeSystem:
         feeds: dict[str, np.ndarray],
         options: InferenceOptions | None = None,
     ) -> dict[str, np.ndarray]:
-        """One protected inference (sequential by default)."""
+        """One protected inference."""
         return self.infer_batches([feeds], options)[0]
 
     def infer_batches(
@@ -204,8 +186,7 @@ class MvteeSystem:
         """Protected inference over a batch stream.
 
         The unified entry point: :class:`InferenceOptions` bundles the
-        scheduling mode, checkpoint discipline and path-mode overrides,
-        and the observability sinks.
+        run's observability sinks, replica dispatcher and batch-id base.
         """
         results, stats = run(self.monitor, batches, options)
         self.last_stats = stats
@@ -216,9 +197,6 @@ class MvteeSystem:
         *,
         policy=None,
         sinks: Sinks | None = None,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        recorder: FlightRecorder | None = None,
         clock=None,
     ):
         """A (not yet started) :class:`repro.serving.ServingEngine`.
@@ -228,20 +206,12 @@ class MvteeSystem:
         variant execution.  Call ``start()``/``stop()`` or use it as a
         context manager; :meth:`InferenceService.serve` wraps the same
         engine behind the request-id surface.  ``sinks`` carries the
-        engine's observability bundle; the individual ``registry=`` /
-        ``tracer=`` / ``recorder=`` kwargs are deprecated.  ``clock``
+        engine's observability bundle.  ``clock``
         (a :class:`repro.clock.Clock`; real time by default) runs the
         engine's deadlines and waits.
         """
         from repro.serving.engine import ServingEngine
 
-        sinks = coerce_sinks(
-            sinks,
-            owner="MvteeSystem.serving_engine",
-            tracer=tracer,
-            metrics=registry,
-            recorder=recorder,
-        )
         return ServingEngine(self, policy=policy, sinks=sinks, clock=clock)
 
     # ------------------------------------------------------------------

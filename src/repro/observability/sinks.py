@@ -3,10 +3,7 @@
 Deployments, serving engines and per-run options all accept the same
 trio of observability sinks -- a span tracer, a metrics registry and a
 tamper-evident flight recorder.  :class:`Sinks` bundles the trio so the
-APIs take one ``sinks=`` argument instead of repeating three kwargs;
-the individual ``tracer=`` / ``metrics=`` / ``recorder=`` spellings are
-kept for one deprecation cycle (``registry=`` on the serving engine is
-the same sink under its historical name).
+APIs take one ``sinks=`` argument instead of repeating three kwargs.
 
 ``None`` fields mean "use the surface's default": the process-wide
 registry, the deployment's recorder, no tracer.
@@ -14,7 +11,6 @@ registry, the deployment's recorder, no tracer.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -23,7 +19,7 @@ if TYPE_CHECKING:
     from repro.observability.recorder import FlightRecorder
     from repro.observability.tracing import Tracer
 
-__all__ = ["Sinks", "coerce_sinks"]
+__all__ = ["Sinks"]
 
 
 @dataclass(frozen=True)
@@ -49,44 +45,3 @@ class Sinks:
     def with_metrics(self, metrics: "MetricsRegistry | None") -> "Sinks":
         """A copy with the metrics registry replaced."""
         return replace(self, metrics=metrics)
-
-
-def coerce_sinks(
-    sinks: Sinks | None,
-    *,
-    owner: str,
-    tracer=None,
-    metrics=None,
-    recorder=None,
-    stacklevel: int = 3,
-) -> Sinks:
-    """Resolve a ``sinks=`` bundle against deprecated individual kwargs.
-
-    The legacy kwargs still work for one deprecation cycle but emit a
-    single :class:`DeprecationWarning` per call regardless of how many
-    of them are passed; combining them with an explicit ``sinks=``
-    bundle is ambiguous and raises ``ValueError``.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("tracer", tracer),
-            ("metrics", metrics),
-            ("recorder", recorder),
-        )
-        if value is not None
-    }
-    if legacy:
-        if sinks is not None:
-            raise ValueError(
-                f"{owner}: pass sinks=Sinks(...) or the individual "
-                f"{sorted(legacy)} kwargs, not both"
-            )
-        warnings.warn(
-            f"{owner}: the {sorted(legacy)} kwargs are deprecated; pass "
-            f"sinks=Sinks({', '.join(f'{k}=...' for k in sorted(legacy))})",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return Sinks(**legacy)
-    return sinks if sinks is not None else Sinks()

@@ -159,9 +159,8 @@ class Tracer:
 
     ``span()`` is a context manager: without an explicit ``parent`` the
     new span nests under the innermost open ``span()`` block; with one
-    (needed by the pipelined scheduler, where batches interleave across
-    ticks) it attaches there while still acting as the implicit parent
-    for spans opened inside the block.  ``start_span``/``Span.end`` is
+    it attaches there while still acting as the implicit parent for
+    spans opened inside the block.  ``start_span``/``Span.end`` is
     the manual variant for spans that stay open across control flow.
     """
 

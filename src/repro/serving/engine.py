@@ -47,16 +47,14 @@ import numpy as np
 
 from repro.clock import Clock, as_clock
 from repro.mvx.monitor import MonitorError
-from repro.mvx.scheduler import InferenceOptions, SchedulingMode, validate_feeds
+from repro.mvx.scheduler import InferenceOptions, validate_feeds
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.recorder import (
     KIND_ENGINE_ERROR,
     KIND_REQUEST_SHED,
     KIND_REQUEST_TIMEOUT,
-    FlightRecorder,
 )
-from repro.observability.sinks import Sinks, coerce_sinks
-from repro.observability.tracing import Tracer
+from repro.observability.sinks import Sinks
 from repro.serving.admission import AdmissionQueue
 from repro.serving.batching import BatchPolicy, MicroBatcher
 from repro.serving.errors import DeadlineExceeded, EngineStopped, Overloaded
@@ -82,8 +80,6 @@ class ServingPolicy:
     max_workers: int = 8
     #: Retry one variant round trip once on a transient fault.
     retry_transient: bool = True
-    #: Scheduling of the micro-batch through the pipeline stages.
-    scheduling: SchedulingMode = SchedulingMode.PIPELINED
     #: Engine worker threads, i.e. micro-batches in flight at once.
     #: Each worker pulls its own batch and drives it through the
     #: pipeline independently, so a slow batch does not serialize the
@@ -203,18 +199,9 @@ class ServingEngine:
         *,
         policy: ServingPolicy | None = None,
         sinks: Sinks | None = None,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        recorder: FlightRecorder | None = None,
         clock: Clock | Callable[[], float] | None = None,
     ):
-        sinks = coerce_sinks(
-            sinks,
-            owner="ServingEngine",
-            tracer=tracer,
-            metrics=registry,
-            recorder=recorder,
-        )
+        sinks = sinks if sinks is not None else Sinks()
         self.system = system
         self.policy = policy if policy is not None else ServingPolicy()
         self.registry = (
@@ -249,6 +236,10 @@ class ServingEngine:
             "mvtee_dispatch_retries_total",
             "Variant round trips retried after a transient fault",
         )
+        self.registry.counter(
+            "mvtee_after_stage_errors_total",
+            "Supervision ticks after a stage that raised",
+        )
         self.registry.gauge(
             "mvtee_queue_depth", "Requests waiting in the admission queue"
         )
@@ -274,24 +265,20 @@ class ServingEngine:
             registry=self.registry,
             clock=self._clock,
         )
-        # Process-mode deployments get the cluster-aware dispatcher so a
-        # worker lost mid-batch is restarted promptly; same contract,
-        # same retry/deadline semantics.
+        # In a process-mode deployment every stage ends with a
+        # supervision tick, so a worker lost mid-batch is restarted
+        # promptly instead of at the next heartbeat.
         cluster = getattr(system, "cluster", None)
-        if not self.policy.parallel_variants:
-            self._executor = None
-        elif cluster is not None:
-            self._executor = cluster.dispatcher(
-                max_workers=self.policy.max_workers,
-                retry_transient=self.policy.retry_transient,
-                clock=self._clock,
-            )
-        else:
-            self._executor = ParallelStageExecutor(
+        self._executor = (
+            ParallelStageExecutor(
                 self.policy.max_workers,
                 retry_transient=self.policy.retry_transient,
                 clock=self._clock,
+                after_stage=cluster.poll if cluster is not None else None,
             )
+            if self.policy.parallel_variants
+            else None
+        )
         self._ids = itertools.count()
         #: Worker threads by pool index; indexes at or past
         #: ``_target_workers`` retire themselves (resize-down).
@@ -568,7 +555,6 @@ class ServingEngine:
         deadlines = [t.deadline for t in live if t.deadline is not None]
         deadline = min(deadlines) if deadlines else None
         options = InferenceOptions(
-            scheduling=self.policy.scheduling,
             sinks=Sinks(
                 tracer=self.tracer,
                 metrics=self.registry,

@@ -8,15 +8,19 @@ kernels inside the variant runtimes release the GIL, so the replicas
 genuinely overlap and the checkpoint waits only for the slowest.
 
 The executor plugs into a run as its *dispatcher* (via
-:class:`~repro.mvx.scheduler.InferenceOptions` or directly on the
-monitor) and sits behind the scheduler's ``_stage_once`` contract: same
-feeds in, same :class:`~repro.mvx.voting.VariantOutput` list out, same
-span/metric emission -- only the wall clock differs.  On top of the
-parallelism it enforces a per-batch deadline (raising
+:class:`~repro.mvx.scheduler.InferenceOptions`) and keeps the serial
+dispatch contract: same feeds in, same
+:class:`~repro.mvx.voting.VariantOutput` list out, same span/metric
+emission into the run's sinks -- only the wall clock differs.  On top
+of the parallelism it enforces a per-batch deadline (raising
 :class:`~repro.serving.errors.DeadlineExceeded` when a replica cannot
-answer in time) and retries one round trip once when a variant fails
+answer in time, and cancelling the replica requests that have not
+started) and retries one round trip once when a variant fails
 transiently -- the host is still alive, so a transport glitch or torn
-channel record should not cost the replica its vote.
+channel record should not cost the replica its vote.  An optional
+``after_stage`` callable runs on the dispatching thread after every
+stage; a process-mode deployment passes its supervisor's ``poll`` so a
+worker lost mid-batch is restarted promptly.
 
 The executor is *re-entrant*: any number of batches may be in flight
 through one executor at once (the serving engine overlaps
@@ -34,6 +38,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Callable
 
 from repro.clock import Clock, as_clock
+from repro.observability.recorder import KIND_ENGINE_ERROR
 from repro.serving.errors import DeadlineExceeded
 
 __all__ = ["BoundDispatcher", "ParallelStageExecutor"]
@@ -54,9 +59,9 @@ class BoundDispatcher:
         self.executor = executor
         self.deadline = deadline
 
-    def dispatch(self, monitor, connections, batch_id, feeds) -> list:
+    def dispatch(self, monitor, connections, batch_id, feeds, sinks) -> list:
         return self.executor.dispatch(
-            monitor, connections, batch_id, feeds, deadline=self.deadline
+            monitor, connections, batch_id, feeds, sinks, deadline=self.deadline
         )
 
 
@@ -76,6 +81,7 @@ class ParallelStageExecutor:
         *,
         retry_transient: bool = True,
         clock: Clock | Callable[[], float] | None = None,
+        after_stage: Callable[[], None] | None = None,
     ):
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="mvtee-variant"
@@ -84,33 +90,50 @@ class ParallelStageExecutor:
         #: Deadlines and the deadline wait run on this clock; a virtual
         #: one also times the monitor's round trips.
         self._clock = as_clock(clock)
+        #: Called after every dispatch, on the dispatching thread.
+        self.after_stage = after_stage
 
     def bind(self, deadline: float | None) -> BoundDispatcher:
         """A dispatcher view of this executor with ``deadline`` attached."""
         return BoundDispatcher(self, deadline)
 
     # ------------------------------------------------------------------
-    # Dispatcher contract (Monitor._dispatch)
+    # Dispatcher contract (InferenceOptions.dispatcher)
     # ------------------------------------------------------------------
 
     def dispatch(
-        self, monitor, connections, batch_id, feeds, *, deadline: float | None = None
+        self,
+        monitor,
+        connections,
+        batch_id,
+        feeds,
+        sinks,
+        *,
+        deadline: float | None = None,
     ) -> list:
         """Round-trip ``feeds`` to every connection concurrently.
 
         Results come back in connection order, exactly like the serial
-        path, so voting sees an identical input either way.  The
-        deadline applies to every connection count -- a single-replica
-        stage goes through the same future-with-timeout path, so one
-        slow variant cannot blow through the batch budget unbounded.
+        path, so voting sees an identical input either way; every round
+        trip reports to the run's ``sinks``.  The deadline applies to
+        every connection count -- a single-replica stage goes through
+        the same future-with-timeout path, so one slow variant cannot
+        blow through the batch budget unbounded.
         """
+        try:
+            return self._dispatch(monitor, connections, batch_id, feeds, sinks, deadline)
+        finally:
+            if self.after_stage is not None:
+                self._after_stage(sinks, batch_id, connections)
+
+    def _dispatch(self, monitor, connections, batch_id, feeds, sinks, deadline) -> list:
         if len(connections) == 1 and deadline is None:
             # Unbounded single replica: no timeout to enforce, so skip
             # the pool hop entirely.
-            return [self._request(monitor, connections[0], batch_id, feeds, deadline)]
+            return [self._request(monitor, connections[0], batch_id, feeds, sinks, deadline)]
         futures = [
             self._clock.submit(
-                self._pool, self._request, monitor, c, batch_id, feeds, deadline
+                self._pool, self._request, monitor, c, batch_id, feeds, sinks, deadline
             )
             for c in connections
         ]
@@ -123,23 +146,47 @@ class ParallelStageExecutor:
             try:
                 results.append(future.result(timeout=max(0.0, remaining)))
             except FutureTimeout:
+                # Requests still queued behind the pool would only hold
+                # its threads and the variants' channel locks for a batch
+                # that has already failed.
+                for pending in futures:
+                    pending.cancel()
                 raise DeadlineExceeded(
                     f"variant {connection.variant_id} missed the batch deadline "
                     f"at batch {batch_id}, partition {connection.partition_index}"
                 ) from None
         return results
 
-    def _round_trip(self, monitor, connection, batch_id, feeds):
+    def _after_stage(self, sinks, batch_id, connections) -> None:
+        """Run the after-stage hook; a failure is counted and audited."""
+        try:
+            self.after_stage()
+        except Exception as exc:
+            partition = connections[0].partition_index
+            sinks.metrics.counter(
+                "mvtee_after_stage_errors_total",
+                "Supervision ticks after a stage that raised",
+            ).inc(partition=partition)
+            if sinks.recorder is not None:
+                sinks.recorder.record(
+                    KIND_ENGINE_ERROR,
+                    error=type(exc).__name__,
+                    detail=str(exc),
+                    batch=batch_id,
+                    partition=partition,
+                )
+
+    def _round_trip(self, monitor, connection, batch_id, feeds, sinks):
         if not self._clock.virtual:
             # Real waits (also under a bare callable clock): the monitor
             # times the round trip in real time by default.
-            return monitor.request_inference(connection, batch_id, feeds)
+            return monitor.request_inference(connection, batch_id, feeds, sinks)
         return monitor.request_inference(
-            connection, batch_id, feeds, clock=self._clock
+            connection, batch_id, feeds, sinks, clock=self._clock
         )
 
-    def _request(self, monitor, connection, batch_id, feeds, deadline=None):
-        result = self._round_trip(monitor, connection, batch_id, feeds)
+    def _request(self, monitor, connection, batch_id, feeds, sinks, deadline=None):
+        result = self._round_trip(monitor, connection, batch_id, feeds, sinks)
         if (
             result.outputs is None
             and self.retry_transient
@@ -150,11 +197,11 @@ class ParallelStageExecutor:
             # from the path to it (transport glitch, torn record).  One
             # retry keeps the replica's vote without masking real
             # crashes -- a dead host short-circuits above.
-            monitor.metrics_registry.counter(
+            sinks.metrics.counter(
                 "mvtee_dispatch_retries_total",
                 "Variant round trips retried after a transient fault",
             ).inc(partition=connection.partition_index)
-            result = self._round_trip(monitor, connection, batch_id, feeds)
+            result = self._round_trip(monitor, connection, batch_id, feeds, sinks)
         return result
 
     def _past_deadline(self, deadline: float | None) -> bool:

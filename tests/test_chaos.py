@@ -401,7 +401,12 @@ class TestLiveCampaign:
 
     def test_error_verdict_on_uninjectable_fault(self, small_resnet, small_input):
         system = deploy(small_resnet, {1: 3}, seed=3)
-        engine = system.serving_engine(policy=ServingPolicy(num_workers=2))
+        # Virtual time, like the campaign above: the offered load cannot
+        # outrun a slow host.
+        clock = VirtualClock()
+        engine = system.serving_engine(
+            policy=ServingPolicy(num_workers=2), clock=clock
+        )
 
         class BrokenInjector(RollbackInjector):
             def inject(self, target):
@@ -417,6 +422,7 @@ class TestLiveCampaign:
             settle_s=0.1,
             recovery_timeout_s=4.0,
             rate_rps=6.0,
+            clock=clock,
         )
         report = campaign.run()
         assert report.verdicts[0].outcome == OUTCOME_ERROR

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cluster import (
     ClusterSupervisor,
-    ProcessDispatcher,
     RestartPolicy,
     WorkerCrashed,
 )
@@ -408,9 +407,10 @@ class TestShutdownHygiene:
 
 class TestServingOverCluster:
     def test_engine_uses_cluster_dispatcher(self, cluster_system):
+        # Every stage ends with a supervision tick, run on the
+        # dispatching thread rather than a thread of its own.
         engine = cluster_system.serving_engine()
-        assert isinstance(engine._executor, ProcessDispatcher)
-        assert engine._executor.cluster is cluster_system.cluster
+        assert engine._executor.after_stage == cluster_system.cluster.poll
 
     def test_engine_serves_over_workers(self, cluster_system, small_input):
         with cluster_system.serving_engine() as engine:

@@ -3,8 +3,11 @@
 §4.3: "Variant TEEs are organized by the monitor into a DAG that mirrors
 the original model topology."  These tests build a branchy model,
 partition it so two partitions are parallel branches, and check that
-both schedulers and the simulator handle the non-chain topology.
+the scheduler (alone and with overlapping runs) and the simulator
+handle the non-chain topology.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from repro.graph import GraphBuilder
 from repro.mvx.bootstrap import bootstrap_deployment
 from repro.mvx.config import MvxConfig
-from repro.mvx.scheduler import InferenceOptions, SchedulingMode, run
+from repro.mvx.scheduler import InferenceOptions, run
 from repro.partition.partition import Partition, PartitionSet
 from repro.partition.verify import verify_partition_set
 from repro.runtime import RuntimeConfig
@@ -107,11 +110,18 @@ class TestDagScheduling:
             {"input": rng.normal(size=(1, 3, 8, 8)).astype(np.float32)}
             for _ in range(3)
         ]
-        results, _ = run(
-            deployment,
-            batches,
-            InferenceOptions(scheduling=SchedulingMode.PIPELINED),
-        )
+        # Two overlapping runs of two batches each, disjoint batch ids.
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            halves = [
+                pool.submit(
+                    run,
+                    deployment,
+                    batches[base : base + 2],
+                    InferenceOptions(batch_id_base=base),
+                )
+                for base in (0, 2)
+            ]
+            results = [out for half in halves for out in half.result()[0]]
         for name, value in expected.items():
             assert np.allclose(results[0][name], value, atol=1e-2)
         seq_results, _ = run(deployment, batches)

@@ -48,7 +48,7 @@ def test_endurance_no_silent_corruption(model, reference_runtime):
     )
     system.monitor.response_action = ResponseAction.DROP_VARIANT
     controller = AdaptiveController(system, scale_down_threshold=-1.0)
-    service = InferenceService(system, pipelined=True, controller=controller)
+    service = InferenceService(system, controller=controller)
     rng = np.random.default_rng(42)
 
     faults_injected = 0

@@ -5,7 +5,8 @@ import pytest
 
 from repro.crypto.kdf import hkdf_sha256
 from repro.mvx import MvteeSystem
-from repro.mvx.scheduler import validate_feeds
+from repro.mvx.scheduler import InferenceOptions, validate_feeds
+from repro.serving import ParallelStageExecutor
 from repro.tee.channel import ChannelError, SecureChannel
 from repro.zoo import build_model
 
@@ -129,9 +130,11 @@ class TestParallelDispatch:
             small_resnet, num_partitions=3, mvx_partitions={1: 3},
             seed=0, verify_partitions=False, verify_variants=False,
         )
-        parallel.monitor.parallel_dispatch = True
         out_s = serial.infer({"input": small_input})
-        out_p = parallel.infer({"input": small_input})
+        with ParallelStageExecutor(4) as executor:
+            out_p = parallel.infer(
+                {"input": small_input}, InferenceOptions(dispatcher=executor)
+            )
         for name in out_s:
             assert np.allclose(out_s[name], out_p[name], atol=1e-6)
 
@@ -143,11 +146,11 @@ class TestParallelDispatch:
             small_resnet, num_partitions=3, mvx_partitions={1: 3},
             seed=0, verify_partitions=False, verify_variants=False,
         )
-        system.monitor.parallel_dispatch = True
         system.monitor.response_action = ResponseAction.DROP_VARIANT
         victim = system.monitor.stage_connections(1)[0]
         FaultInjector(victim.host.runtime).arm_backend_bitflip(bit=30)
-        system.infer({"input": small_input})
+        with ParallelStageExecutor(4) as executor:
+            system.infer({"input": small_input}, InferenceOptions(dispatcher=executor))
         assert system.monitor.divergence_events()
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.dtypes import DataType
-from repro.mvx.scheduler import run
+from repro.mvx.scheduler import InferenceOptions, run
+from repro.observability import MetricsRegistry, Sinks
 from repro.simulation import CostModel
 from repro.simulation.pipeline import StagePlan, VariantSim
 
@@ -54,9 +55,15 @@ class TestDataTypes:
 
 class TestRunStatsTimings:
     def test_stage_timings_recorded(self, deployed_system, small_input):
-        results, stats = run(deployed_system.monitor, [{"input": small_input}])
-        timings = stats.extra["stage_seconds"]
-        assert set(timings) == {0, 1, 2}
+        registry = MetricsRegistry()
+        run(
+            deployed_system.monitor,
+            [{"input": small_input}],
+            InferenceOptions(sinks=Sinks(metrics=registry)),
+        )
+        hist = registry.histogram("mvtee_stage_seconds")
+        timings = {index: hist.sum(partition=index) for index in range(3)}
+        assert all(hist.count(partition=index) == 1 for index in timings)
         assert all(t > 0 for t in timings.values())
         # The 3-variant MVX stage costs more wall time than fast-path stages.
         assert timings[1] > timings[2]

@@ -9,9 +9,10 @@ import pytest
 
 from repro.attacks.cves import TABLE1_CVES, craft_malicious_input
 from repro.mvx import MonitorError, MvteeSystem, ResponseAction
-from repro.mvx.scheduler import InferenceOptions, SchedulingMode, run
+from repro.mvx.scheduler import run
 from repro.mvx.wire import decode_message, encode_message
 from repro.runtime.faults import FaultInjector
+from repro.serving import ServingPolicy
 
 
 @pytest.fixture()
@@ -93,11 +94,11 @@ class TestInference:
             for _ in range(4)
         ]
         seq, _ = run(deployed_system.monitor, batches)
-        pipe, _ = run(
-            deployed_system.monitor,
-            batches,
-            InferenceOptions(scheduling=SchedulingMode.PIPELINED),
-        )
+        # Pipelined serving: one batch per run, two runs in flight.
+        policy = ServingPolicy(max_batch_size=1, num_workers=2)
+        with deployed_system.serving_engine(policy=policy) as engine:
+            tickets = [engine.submit(feeds) for feeds in batches]
+            pipe = [ticket.result(timeout=60.0) for ticket in tickets]
         for a, b in zip(seq, pipe):
             for name in a:
                 assert np.allclose(a[name], b[name], atol=1e-5)

@@ -46,7 +46,7 @@ class TestServiceLifecycle:
         assert np.allclose(result[name], small_resnet_reference[name], atol=1e-2)
 
     def test_order_preserved(self, system):
-        service = InferenceService(system, pipelined=True)
+        service = InferenceService(system)
         ids = [service.submit(feeds_for(i)) for i in range(5)]
         service.drain()
         results = [service.result(i) for i in ids]
@@ -187,3 +187,14 @@ class TestServiceMetrics:
         assert metrics.checkpoints_evaluated == 3  # one MVX partition per batch
         assert metrics.bytes_protected > 0
         assert metrics.live_variants == {0: 1, 1: 3, 2: 1}
+
+    def test_counters_cover_serve(self, system):
+        service = InferenceService(system)
+        with service.serve(max_batch_size=1):
+            ids = [service.submit(feeds_for(i)) for i in range(3)]
+            for rid in ids:
+                assert service.wait(rid, timeout=30.0) is RequestState.DONE
+        metrics = service.metrics()
+        assert metrics.requests_served == 3
+        assert metrics.batches_executed == 3
+        assert metrics.checkpoints_evaluated == 3

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.clock import Clock, VirtualClock
 from repro.mvx import (
     InferenceOptions,
     MonitorError,
@@ -226,12 +227,12 @@ class _FlakyDispatcher(ParallelStageExecutor):
         super().__init__(2)
         self._fired = False
 
-    def dispatch(self, monitor, connections, batch_id, feeds, *, deadline=None):
+    def dispatch(self, monitor, connections, batch_id, feeds, sinks, *, deadline=None):
         if not self._fired:
             self._fired = True
             raise RuntimeError("injected dispatcher fault")
         return super().dispatch(
-            monitor, connections, batch_id, feeds, deadline=deadline
+            monitor, connections, batch_id, feeds, sinks, deadline=deadline
         )
 
 
@@ -362,11 +363,11 @@ class _StubMonitor:
         # scripts: variant_id -> list of outputs-or-None popped per call.
         self.scripts = scripts
         self.delay_s = delay_s
-        self.metrics_registry = MetricsRegistry()
+        self.sinks = Sinks(metrics=MetricsRegistry())
         self.calls: list[str] = []
         self._lock = threading.Lock()
 
-    def request_inference(self, connection, batch_id, feeds):
+    def request_inference(self, connection, batch_id, feeds, sinks):
         with self._lock:
             self.calls.append(connection.variant_id)
             outcome = self.scripts[connection.variant_id].pop(0)
@@ -385,7 +386,7 @@ class TestParallelStageExecutor:
         monitor = _StubMonitor({v: [outputs[v]] for v in "abc"})
         connections = [_StubConnection(v) for v in "abc"]
         with ParallelStageExecutor(4) as executor:
-            results = executor.dispatch(monitor, connections, 0, {})
+            results = executor.dispatch(monitor, connections, 0, {}, monitor.sinks)
         assert [r.variant_id for r in results] == ["a", "b", "c"]
 
     def test_transient_fault_retried_once(self):
@@ -393,10 +394,10 @@ class TestParallelStageExecutor:
         monitor = _StubMonitor({"a": [good], "b": [None, good]})
         connections = [_StubConnection("a"), _StubConnection("b")]
         with ParallelStageExecutor(4) as executor:
-            results = executor.dispatch(monitor, connections, 0, {})
+            results = executor.dispatch(monitor, connections, 0, {}, monitor.sinks)
         assert all(r.outputs is not None for r in results)
         assert monitor.calls.count("b") == 2  # failed once, retried once
-        retries = monitor.metrics_registry.counter("mvtee_dispatch_retries_total")
+        retries = monitor.sinks.metrics.counter("mvtee_dispatch_retries_total")
         assert retries.total() == 1
 
     def test_crashed_host_not_retried(self):
@@ -404,7 +405,7 @@ class TestParallelStageExecutor:
         monitor = _StubMonitor({"a": [good], "b": [None]})
         connections = [_StubConnection("a"), _StubConnection("b", crashed=True)]
         with ParallelStageExecutor(4) as executor:
-            results = executor.dispatch(monitor, connections, 0, {})
+            results = executor.dispatch(monitor, connections, 0, {}, monitor.sinks)
         assert results[1].outputs is None
         assert monitor.calls.count("b") == 1
 
@@ -419,14 +420,65 @@ class TestParallelStageExecutor:
                     connections,
                     0,
                     {},
+                    monitor.sinks,
                     deadline=time.monotonic() + 0.02,
                 )
+
+    def test_missed_deadline_cancels_unstarted_replicas(self):
+        class RecordingClock(Clock):
+            def __init__(self):
+                self.futures = []
+
+            def submit(self, pool, fn, *args):
+                future = super().submit(pool, fn, *args)
+                self.futures.append(future)
+                return future
+
+        good = {"t": np.ones((1,), dtype=np.float32)}
+        monitor = _StubMonitor({v: [good] for v in "abc"}, delay_s=0.2)
+        connections = [_StubConnection(v) for v in "abc"]
+        clock = RecordingClock()
+        executor = ParallelStageExecutor(1, clock=clock)
+        try:
+            with pytest.raises(DeadlineExceeded):
+                executor.dispatch(
+                    monitor,
+                    connections,
+                    0,
+                    {},
+                    monitor.sinks,
+                    deadline=time.monotonic() + 0.02,
+                )
+            # The one pool thread runs tasks in order: once a sentinel
+            # submitted now has run, every replica request still queued
+            # would have run before it.
+            executor._pool.submit(lambda: None).result(timeout=5.0)
+        finally:
+            executor.shutdown()
+        assert [f.cancelled() for f in clock.futures] == [False, True, True]
+        assert monitor.calls == ["a"]
+
+    def test_after_stage_errors_are_counted_and_recorded(self):
+        def broken_poll():
+            raise RuntimeError("supervisor tick failed")
+
+        good = {"t": np.ones((1,), dtype=np.float32)}
+        monitor = _StubMonitor({"a": [good]})
+        sinks = Sinks(metrics=MetricsRegistry(), recorder=FlightRecorder())
+        with ParallelStageExecutor(2, after_stage=broken_poll) as executor:
+            results = executor.dispatch(monitor, [_StubConnection("a")], 7, {}, sinks)
+        assert results[0].outputs is not None
+        errors = sinks.metrics.counter("mvtee_after_stage_errors_total")
+        assert errors.value(partition=1) == 1
+        (event,) = sinks.recorder.events(KIND_ENGINE_ERROR)
+        assert event.data["error"] == "RuntimeError"
+        assert event.data["batch"] == 7
 
     def test_single_connection_stays_serial(self):
         good = {"t": np.ones((1,), dtype=np.float32)}
         monitor = _StubMonitor({"a": [good]})
         with ParallelStageExecutor(4) as executor:
-            results = executor.dispatch(monitor, [_StubConnection("a")], 0, {})
+            results = executor.dispatch(monitor, [_StubConnection("a")], 0, {}, monitor.sinks)
         assert results[0].outputs is not None
 
     def test_single_connection_deadline_enforced(self):
@@ -441,6 +493,7 @@ class TestParallelStageExecutor:
                     [_StubConnection("a")],
                     0,
                     {},
+                    monitor.sinks,
                     deadline=time.monotonic() + 0.02,
                 )
 
@@ -451,25 +504,29 @@ class TestParallelStageExecutor:
         with ParallelStageExecutor(4) as executor:
             bound = executor.bind(time.monotonic() + 0.02)
             with pytest.raises(DeadlineExceeded):
-                bound.dispatch(monitor, connections, 0, {})
+                bound.dispatch(monitor, connections, 0, {}, monitor.sinks)
             assert not hasattr(executor, "deadline")  # no shared deadline state
 
     def test_dispatcher_threads_run_concurrently(self, system):
         # Three replicas sleeping 30ms each: serial floor is 90ms, the
-        # parallel wall clock must land well under it.
+        # parallel run waits only for the slowest.  On virtual time only
+        # the sleeps count, so CPU contention cannot blur the margin.
+        clock = VirtualClock()
         for connection in system.monitor.stage_connections(1):
             connection.host.simulated_latency = 0.03
             connection.host.realtime_latency = True
-        with ParallelStageExecutor(4) as executor:
-            options = InferenceOptions(dispatcher=executor)
-            start = time.monotonic()
-            system.infer_batches([feeds_for(0)], options)
-            parallel_wall = time.monotonic() - start
-        start = time.monotonic()
-        system.infer_batches([feeds_for(0)])
-        serial_wall = time.monotonic() - start
-        assert serial_wall > 0.09
-        assert parallel_wall < serial_wall
+            connection.host.clock = clock
+        with clock.participate():
+            with ParallelStageExecutor(4, clock=clock) as executor:
+                options = InferenceOptions(dispatcher=executor)
+                start = clock.now()
+                system.infer_batches([feeds_for(0)], options)
+                parallel_s = clock.now() - start
+            start = clock.now()
+            system.infer_batches([feeds_for(0)])
+            serial_s = clock.now() - start
+        assert serial_s == pytest.approx(0.09)
+        assert parallel_s == pytest.approx(0.03)
 
 
 class TestServingPolicyValidation:

@@ -1,7 +1,8 @@
-"""The Sinks bundle and the one-cycle deprecation of the kwarg trio."""
+"""The Sinks bundle: one spelling on every surface, one bundle per run."""
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from repro.observability import (
     Sinks,
     Tracer,
 )
-from repro.observability.sinks import coerce_sinks
 from repro.serving import ServingEngine
 
 
@@ -55,43 +55,23 @@ class TestSinksBundle:
         assert bundle.tracer is tracer
         assert bundle.metrics is metrics
 
-    def test_coerce_rejects_mixing_bundle_and_legacy(self):
-        with pytest.raises(ValueError, match="not both"):
-            coerce_sinks(Sinks(), owner="test", metrics=MetricsRegistry())
-
-    def test_coerce_warns_exactly_once_for_any_legacy_mix(self):
-        with pytest.warns(DeprecationWarning) as record:
-            coerce_sinks(
-                None,
-                owner="test",
-                tracer=Tracer(),
-                metrics=MetricsRegistry(),
-                recorder=FlightRecorder(),
-            )
-        assert len(record) == 1
-        assert "test" in str(record[0].message)
-
 
 class TestBackCompatSpellings:
-    """Old kwarg spellings keep working for one deprecation cycle."""
+    """``sinks=`` is the one spelling; the trio kwargs are gone."""
 
-    def test_deploy_legacy_kwargs_warn_once_and_work(self, small_resnet):
-        registry = MetricsRegistry()
-        recorder = FlightRecorder()
-        with pytest.warns(DeprecationWarning) as record:
-            system = MvteeSystem.deploy(
-                small_resnet,
-                num_partitions=3,
-                mvx_partitions={1: 2},
-                seed=0,
-                verify_partitions=False,
-                verify_variants=False,
-                metrics=registry,
-                recorder=recorder,
-            )
-        assert len(record) == 1
-        assert system.monitor.metrics is registry
-        assert system.monitor.recorder is recorder
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda system: MvteeSystem.deploy(system.model, metrics=MetricsRegistry()),
+            lambda system: system.serving_engine(registry=MetricsRegistry()),
+            lambda system: ServingEngine(system, tracer=Tracer()),
+            lambda system: InferenceOptions(recorder=FlightRecorder()),
+        ],
+        ids=["deploy", "serving_engine", "ServingEngine", "InferenceOptions"],
+    )
+    def test_trio_kwargs_are_rejected(self, system, make):
+        with pytest.raises(TypeError):
+            make(system)
 
     def test_deploy_sinks_spelling_is_warning_free(self, small_resnet):
         registry = MetricsRegistry()
@@ -108,34 +88,6 @@ class TestBackCompatSpellings:
             )
         assert system.monitor.metrics is registry
 
-    def test_inference_options_legacy_kwargs_warn_once_and_work(self, system):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning) as record:
-            options = InferenceOptions(metrics=registry, tracer=Tracer())
-        assert len(record) == 1
-        system.infer_batches([_feeds()], options)
-        assert registry.counter("mvtee_checkpoints_total").total() >= 1
-
-    def test_inference_options_sinks_normalizes_trio_fields(self, system):
-        registry, tracer = MetricsRegistry(), Tracer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            options = InferenceOptions(
-                sinks=Sinks(tracer=tracer, metrics=registry)
-            )
-        # The bundle is the API; the trio stays readable for internals.
-        assert options.metrics is registry
-        assert options.tracer is tracer
-        system.infer_batches([_feeds()], options)
-        assert registry.counter("mvtee_checkpoints_total").total() >= 1
-
-    def test_serving_engine_legacy_registry_kwarg_warns_once(self, system):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning) as record:
-            engine = ServingEngine(system, registry=registry)
-        assert len(record) == 1
-        assert engine.registry is registry
-
     def test_system_serving_engine_sinks_spelling(self, system):
         registry = MetricsRegistry()
         recorder = FlightRecorder()
@@ -149,22 +101,54 @@ class TestBackCompatSpellings:
         with engine:
             assert engine.submit(_feeds()).result(timeout=30.0)
 
-    def test_system_serving_engine_legacy_kwargs_warn_once(self, system):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning) as record:
-            engine = system.serving_engine(
-                registry=registry, recorder=FlightRecorder()
-            )
-        assert len(record) == 1
-        assert engine.registry is registry
 
-    def test_legacy_and_sinks_equivalent_outputs(self, system):
-        feeds = _feeds(3)
-        with pytest.warns(DeprecationWarning):
-            legacy_opts = InferenceOptions(metrics=MetricsRegistry())
-        legacy = system.infer_batches([feeds], legacy_opts)[0]
-        modern = system.infer_batches(
-            [feeds], InferenceOptions(sinks=Sinks(metrics=MetricsRegistry()))
-        )[0]
-        (name,) = modern
-        np.testing.assert_array_equal(legacy[name], modern[name])
+class _GatingDispatcher:
+    """Serial dispatch that holds its run inside the first stage until released."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def dispatch(self, monitor, connections, batch_id, feeds, sinks):
+        self.entered.set()
+        assert self.release.wait(timeout=30.0)
+        return [monitor.request_inference(c, batch_id, feeds, sinks) for c in connections]
+
+
+def _run_counts(registry: MetricsRegistry, recorder: FlightRecorder) -> tuple:
+    return (
+        registry.counter("mvtee_stage_executions_total").total(),
+        registry.counter("mvtee_variant_requests_total").total(),
+        len(recorder.events("checkpoint")),
+    )
+
+
+class TestRunScopedSinks:
+    def test_overlapping_runs_keep_their_sinks_apart(self, system):
+        # 3 stages; 1 + 2 + 1 variant round trips; one checkpoint.
+        one_run = (3, 4, 1)
+        registry_a, recorder_a = MetricsRegistry(), FlightRecorder()
+        registry_b, recorder_b = MetricsRegistry(), FlightRecorder()
+        gate = _GatingDispatcher()
+        options_a = InferenceOptions(
+            sinks=Sinks(metrics=registry_a, recorder=recorder_a), dispatcher=gate
+        )
+        run_a = threading.Thread(
+            target=system.infer_batches, args=([_feeds(1)], options_a)
+        )
+        run_a.start()
+        try:
+            assert gate.entered.wait(timeout=30.0)
+            # Run A is parked inside its first stage; run B runs through.
+            system.infer_batches(
+                [_feeds(2)],
+                InferenceOptions(sinks=Sinks(metrics=registry_b, recorder=recorder_b)),
+            )
+            assert _run_counts(registry_b, recorder_b) == one_run
+            assert _run_counts(registry_a, recorder_a) == (0, 0, 0)
+        finally:
+            gate.release.set()
+            run_a.join(timeout=30.0)
+        assert not run_a.is_alive()
+        assert _run_counts(registry_a, recorder_a) == one_run
+        assert _run_counts(registry_b, recorder_b) == one_run
