@@ -57,6 +57,27 @@ def test_bench_record_protection_chacha(benchmark):
     assert len(record) == len(payload) + 16
 
 
+#: Record sizes for the seal/open rows: the per-record floor (1 KiB) and
+#: the per-byte slope (64 KiB, 1 MiB).
+RECORD_SIZES = {"1kib": 1 << 10, "64kib": 1 << 16, "1mib": 1 << 20}
+
+
+@pytest.mark.parametrize("size", RECORD_SIZES.values(), ids=RECORD_SIZES.keys())
+def test_bench_record_protection_seal(benchmark, size):
+    aead = get_aead("chacha20-poly1305", bytes(32))
+    payload = np.random.default_rng(0).bytes(size)
+    record = benchmark(aead.encrypt, bytes(12), payload, b"seq")
+    assert len(record) == size + 16
+
+
+@pytest.mark.parametrize("size", RECORD_SIZES.values(), ids=RECORD_SIZES.keys())
+def test_bench_record_protection_open(benchmark, size):
+    aead = get_aead("chacha20-poly1305", bytes(32))
+    payload = np.random.default_rng(0).bytes(size)
+    record = aead.encrypt(bytes(12), payload, b"seq")
+    assert benchmark(aead.decrypt, bytes(12), record, b"seq") == payload
+
+
 def test_bench_consistency_check(benchmark):
     policy = ConsistencyPolicy()
     rng = np.random.default_rng(0)

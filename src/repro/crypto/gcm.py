@@ -10,6 +10,7 @@ tensor records default to the numpy-vectorized ChaCha20-Poly1305 in
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from repro.crypto.aes import AesBlockCipher
@@ -102,16 +103,8 @@ class AesGcm:
         j0 = self._j0(nonce)
         tag_mask = int.from_bytes(self._cipher.encrypt_block(j0), "big")
         expected = (self._ghash(aad, ciphertext) ^ tag_mask).to_bytes(16, "big")
-        if not _constant_time_eq(expected, tag):
+        if not hmac.compare_digest(expected, tag):
             raise GcmAuthError("GCM tag verification failed")
         keystream = self._cipher.ctr_keystream(self._increment_counter(j0), len(ciphertext))
         return bytes(c ^ k for c, k in zip(ciphertext, keystream))
 
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from repro.graph.flops import node_flops
@@ -67,9 +66,78 @@ class ContractionSettings:
         return merged_cost <= limit
 
 
-def _build_quotient(model: ModelGraph) -> tuple[nx.DiGraph, dict[str, float]]:
+class _Quotient:
+    """The partition quotient DAG as successor and predecessor maps.
+
+    Nodes, successors and predecessors keep insertion order (an edge
+    removed and re-added moves to the end), which fixes the edge order
+    the contraction samples from and the order partitions are numbered
+    in.
+    """
+
+    def __init__(self) -> None:
+        self.succ: dict[str, dict[str, None]] = {}
+        self.pred: dict[str, dict[str, None]] = {}
+
+    def add_node(self, node: str) -> None:
+        if node not in self.succ:
+            self.succ[node] = {}
+            self.pred[node] = {}
+
+    def add_edge(self, u: str, v: str) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        self.succ[u][v] = None
+        self.pred[v][u] = None
+
+    def remove_edge(self, u: str, v: str) -> None:
+        del self.succ[u][v]
+        del self.pred[v][u]
+
+    def remove_node(self, node: str) -> None:
+        for v in self.succ.pop(node):
+            del self.pred[v][node]
+        for u in self.pred.pop(node):
+            del self.succ[u][node]
+
+    def edges(self) -> list[tuple[str, str]]:
+        return [(u, v) for u, successors in self.succ.items() for v in successors]
+
+    def has_path(self, source: str, target: str) -> bool:
+        seen = {source}
+        stack = [source]
+        while stack:
+            for v in self.succ[stack.pop()]:
+                if v == target:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return source == target
+
+    def topological_order(self) -> list[str]:
+        """Kahn's algorithm, one generation of sources at a time."""
+        indegree = {v: len(preds) for v, preds in self.pred.items() if preds}
+        generation = [v for v, preds in self.pred.items() if not preds]
+        order: list[str] = []
+        while generation:
+            order += generation
+            following = []
+            for node in generation:
+                for child in self.succ[node]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        following.append(child)
+                        del indegree[child]
+            generation = following
+        if indegree:
+            raise PartitionError("partition quotient graph has a cycle")
+        return order
+
+
+def _build_quotient(model: ModelGraph) -> tuple[_Quotient, dict[str, float]]:
     specs = infer_shapes(model)
-    graph = nx.DiGraph()
+    graph = _Quotient()
     costs: dict[str, float] = {}
     for node in model.nodes:
         costs[node.name] = float(max(node_flops(node, specs), 1))
@@ -83,22 +151,22 @@ def _build_quotient(model: ModelGraph) -> tuple[nx.DiGraph, dict[str, float]]:
     return graph, costs
 
 
-def _contractible(graph: nx.DiGraph, u: str, v: str) -> bool:
+def _contractible(graph: _Quotient, u: str, v: str) -> bool:
     """An edge is contractible iff no alternative path u -> v exists."""
     graph.remove_edge(u, v)
     try:
-        return not nx.has_path(graph, u, v)
+        return not graph.has_path(u, v)
     finally:
         graph.add_edge(u, v)
 
 
-def _contract(graph: nx.DiGraph, costs: dict[str, float], members: dict[str, list[str]],
+def _contract(graph: _Quotient, costs: dict[str, float], members: dict[str, list[str]],
               u: str, v: str) -> None:
     """Merge partition v into partition u in the quotient graph."""
-    for pred in list(graph.predecessors(v)):
+    for pred in list(graph.pred[v]):
         if pred != u:
             graph.add_edge(pred, u)
-    for succ in list(graph.successors(v)):
+    for succ in list(graph.succ[v]):
         if succ != u:
             graph.add_edge(u, succ)
     graph.remove_node(v)
@@ -123,13 +191,13 @@ def random_contraction(model: ModelGraph, settings: ContractionSettings) -> Part
     rng = np.random.default_rng(settings.seed)
     graph, costs = _build_quotient(model)
     total_cost = sum(costs.values())
-    members: dict[str, list[str]] = {name: [name] for name in graph.nodes}
+    members: dict[str, list[str]] = {name: [name] for name in graph.succ}
 
-    while graph.number_of_nodes() > target:
-        edges = list(graph.edges)
+    while len(graph.succ) > target:
+        edges = graph.edges()
         if not edges:
             raise PartitionError(
-                f"quotient graph disconnected at {graph.number_of_nodes()} partitions; "
+                f"quotient graph disconnected at {len(graph.succ)} partitions; "
                 f"cannot reach target {target}"
             )
         weights = np.array(
@@ -185,7 +253,7 @@ def random_contraction(model: ModelGraph, settings: ContractionSettings) -> Part
             _contract(graph, costs, members, *fallback)
 
     node_position = {node.name: i for i, node in enumerate(model.topological_order())}
-    leaders = list(nx.topological_sort(graph))
+    leaders = graph.topological_order()
     partitions = [
         Partition(
             index=i,

@@ -16,8 +16,8 @@ serving layer that makes that real under load.  A request travels
   per-request orchestration overhead.
 - :mod:`repro.serving.executor` -- :class:`ParallelStageExecutor`, a
   persistent thread pool that dispatches the variant replicas of a stage
-  concurrently (numpy kernels release the GIL, so replicated variants
-  genuinely overlap), with per-batch deadlines (carried by
+  concurrently (they overlap only where their work releases the GIL; the
+  in-process record layer mostly holds it), with per-batch deadlines (carried by
   :class:`BoundDispatcher` views, so the executor is re-entrant) and
   retry-once on transient variant faults.
 - :mod:`repro.serving.engine` -- :class:`ServingEngine` tying the three

@@ -3,9 +3,14 @@
 The monitor's default slow path queries the variant replicas of a stage
 one after another; with three replicas the checkpoint waits for the sum
 of three round trips.  :class:`ParallelStageExecutor` dispatches them
-concurrently on one persistent :class:`ThreadPoolExecutor` -- the numpy
-kernels inside the variant runtimes release the GIL, so the replicas
-genuinely overlap and the checkpoint waits only for the slowest.
+concurrently on one persistent :class:`ThreadPoolExecutor`.  Replicas
+overlap only where their work releases the GIL (large numpy kernels,
+sleeps, a worker process's pipe).  In-process, most of a round trip is
+the record layer, whose small numpy calls and Python-int Poly1305 steps
+hold it, so the replicas mostly take turns: a 20-request burst through
+``serving_engine()`` on 16 px small-resnet served 15-16 req/s against
+34-38 req/s for a loop of ``infer()`` with MVX on one partition, and
+8.5-8.8 against 19-26 req/s with 3x3 MVX (2 cores).
 
 The executor plugs into a run as its *dispatcher* (via
 :class:`~repro.mvx.scheduler.InferenceOptions`) and keeps the serial

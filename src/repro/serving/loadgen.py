@@ -59,6 +59,8 @@ class LoadReport:
     shed: int = 0
     failed: int = 0
     timed_out: int = 0
+    #: Arrivals an open-loop generator skipped while stalled (not submitted).
+    missed_arrivals: int = 0
     wall_s: float = 0.0
     latencies_s: list[float] = field(default_factory=list)
 
@@ -92,6 +94,7 @@ class LoadReport:
             "shed": self.shed,
             "failed": self.failed,
             "timed_out": self.timed_out,
+            "missed_arrivals": self.missed_arrivals,
             "wall_s": self.wall_s,
             "throughput_rps": self.throughput_rps,
             "shed_rate": self.shed_rate,
@@ -217,7 +220,12 @@ OUTCOME_SHED = "shed"
 
 @dataclass(frozen=True)
 class TrafficSample:
-    """One request's fate in an open-loop trace (timestamps on its clock)."""
+    """One request's fate in an open-loop trace (timestamps on its clock).
+
+    ``latency_s`` runs from the instant the request was due, not from
+    its submission, so a stall of the generator counts against every
+    request it delayed.
+    """
 
     submitted_at: float
     finished_at: float
@@ -265,6 +273,8 @@ class OpenLoopLoadGenerator:
         self._lock = threading.Lock()
         #: Admitted tickets whose outcome is not yet in the trace.
         self._unsettled = 0
+        #: (trace length at the time, arrivals skipped) per stall.
+        self._missed: list[tuple[int, int]] = []
         self._stop = self._clock.event()
         self._thread: threading.Thread | None = None
 
@@ -314,11 +324,16 @@ class OpenLoopLoadGenerator:
             if now < next_at:
                 self._stop.wait(min(next_at - now, 0.05))
                 continue
-            # A long stall (engine quiesced, machine paged out) must not
-            # turn into a catch-up burst that floods the queue.
-            if next_at < now - 1.0:
-                next_at = now
+            due = next_at
             next_at += period
+            # A long stall (engine quiesced, machine paged out) must not
+            # turn into a catch-up burst that floods the queue: past 1 s
+            # behind, the arrivals due since are counted as missed.
+            if due < now - 1.0 and next_at <= now:
+                skipped = int((now - next_at) // period) + 1
+                next_at += skipped * period
+                with self._lock:
+                    self._missed.append((len(self._samples), skipped))
             feeds = self.feeds_factory(sequence)
             sequence += 1
             submitted = self._clock.now()
@@ -334,10 +349,10 @@ class OpenLoopLoadGenerator:
             with self._lock:
                 self._unsettled += 1
             ticket.add_done_callback(
-                lambda t, _submitted=submitted: self._settle(t, _submitted)
+                lambda t, _submitted=submitted, _due=due: self._settle(t, _submitted, _due)
             )
 
-    def _settle(self, ticket: Ticket, submitted: float) -> None:
+    def _settle(self, ticket: Ticket, submitted: float, due: float) -> None:
         finished = self._clock.now()
         try:
             result = ticket.result(0)
@@ -354,7 +369,7 @@ class OpenLoopLoadGenerator:
         with self._lock:
             self._unsettled -= 1
             self._samples.append(
-                TrafficSample(submitted, finished, outcome, finished - submitted)
+                TrafficSample(submitted, finished, outcome, finished - due)
             )
 
     def _append(self, sample: TrafficSample) -> None:
@@ -362,6 +377,12 @@ class OpenLoopLoadGenerator:
             self._samples.append(sample)
 
     # -- trace access ---------------------------------------------------
+
+    @property
+    def missed_arrivals(self) -> int:
+        """Arrivals never submitted because the generator fell over 1 s behind."""
+        with self._lock:
+            return sum(count for _, count in self._missed)
 
     def mark(self) -> int:
         """An opaque position in the trace; pass to ``*_since``."""
@@ -409,7 +430,9 @@ class OpenLoopLoadGenerator:
     def report(self, mark: int = 0) -> LoadReport:
         """Fold the trace after ``mark`` into a :class:`LoadReport`."""
         samples = self.samples_since(mark)
-        report = LoadReport(submitted=len(samples))
+        with self._lock:
+            missed = sum(count for at, count in self._missed if at >= mark)
+        report = LoadReport(submitted=len(samples), missed_arrivals=missed)
         for sample in samples:
             if sample.outcome in (OUTCOME_OK, OUTCOME_CORRUPT):
                 report.completed += 1

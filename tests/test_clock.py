@@ -233,6 +233,46 @@ class _SlowEngine:
         return ticket
 
 
+class _StallingEngine(_SlowEngine):
+    """A _SlowEngine whose ``stall_on``-th submit blocks for ``stall_s``."""
+
+    def __init__(self, clock, service_s, *, stall_on, stall_s):
+        super().__init__(clock, service_s)
+        self.stall_on = stall_on
+        self.stall_s = stall_s
+
+    def submit(self, feeds, *, deadline_s=None):
+        if len(self.tickets) == self.stall_on:
+            self.clock.sleep(self.stall_s)
+        return super().submit(feeds, deadline_s=deadline_s)
+
+
+class TestOpenLoopStall:
+    def test_stall_counts_missed_arrivals_and_times_from_due(self):
+        # 4 rps: arrivals due every 0.25 s.  The third submit (due 0.5)
+        # blocks until 2.5, so the arrival due at 0.75 is submitted at
+        # 2.5 and the seven due at 1.0 .. 2.5 are skipped.
+        clock = VirtualClock()
+        engine = _StallingEngine(clock, service_s=0.05, stall_on=2, stall_s=2.0)
+        loadgen = OpenLoopLoadGenerator(engine, lambda seq: {}, rate_rps=4.0, clock=clock)
+        with clock.participate():
+            loadgen.start()
+            clock.sleep(3.1)
+            loadgen.stop(drain_s=1.0)
+        assert loadgen.missed_arrivals == 7
+        report = loadgen.report()
+        assert report.missed_arrivals == 7
+        assert report.to_json()["missed_arrivals"] == 7
+        assert loadgen.report(mark=loadgen.mark()).missed_arrivals == 0
+        by_submission = {round(s.submitted_at, 6): s for s in loadgen.samples_since()}
+        assert sorted(by_submission) == [0.0, 0.25, 0.5, 2.5, 2.75, 3.0]
+        # Latency runs from the due instant, so the stall shows in both
+        # the request that stalled and the one it delayed.
+        assert by_submission[0.5].latency_s == pytest.approx(2.05)
+        assert by_submission[2.5].latency_s == pytest.approx(2.5 + 0.05 - 0.75)
+        assert by_submission[2.75].latency_s == pytest.approx(0.05)
+
+
 class TestOpenLoopStop:
     def test_stop_waits_for_an_admitted_ticket(self):
         clock = VirtualClock()

@@ -1,5 +1,8 @@
 """Partitioning: Algorithm 1 invariants, slicer, balance search, verification."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.partition import (
@@ -45,6 +48,27 @@ class TestRandomContraction:
         a = random_contraction(branchy_model, ContractionSettings(4, seed=9))
         b = random_contraction(branchy_model, ContractionSettings(4, seed=9))
         assert [p.node_names for p in a.partitions] == [p.node_names for p in b.partitions]
+
+    def test_partitions_are_stable(self):
+        # Digest of the partitions the networkx-based contraction chose:
+        # deployments with a fixed seed must keep their partitions.
+        chosen = {}
+        for name, kwargs in (
+            ("googlenet", {"input_size": 32}),
+            ("inception-v3", {}),
+            ("small-resnet", {"input_size": 32}),
+        ):
+            model = build_model(name, **kwargs)
+            for target in (3, 6):
+                for seed in (0, 1):
+                    for veto in (None, lambda a, b: len(a) + len(b) > 7):
+                        settings = ContractionSettings(target, seed=seed, merge_veto=veto)
+                        chosen[f"{name}/{target}/{seed}/{veto is not None}"] = [
+                            list(p.node_names)
+                            for p in random_contraction(model, settings).partitions
+                        ]
+        digest = hashlib.sha256(json.dumps(chosen, sort_keys=True).encode()).hexdigest()
+        assert digest == "3e334fbd7b9e00957659b1634a8750ca6afd9e09f1183a1ebf70ff0c8de3afcd"
 
     def test_different_seeds_differ(self, branchy_model):
         a = random_contraction(branchy_model, ContractionSettings(4, seed=1))
