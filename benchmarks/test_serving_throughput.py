@@ -2,9 +2,10 @@
 
 Not a paper figure: this benchmarks the `repro.serving` subsystem that
 grows the reproduction toward the ROADMAP north star (heavy traffic,
-hardware-limited speed).  Three measurements on a live 3-partition
-deployment with MVX(3) on the middle partition, whose replicas model
-heavy diversified variants (20 ms of GIL-releasing latency each):
+hardware-limited speed).  Four measurements on a live 3-partition
+deployment with MVX(3) on the middle partition.  In the first three its
+replicas model heavy diversified variants (20 ms of GIL-releasing
+latency each):
 
 1. *Parallel variant execution* -- the same request stream through the
    serial dispatch path and through the ParallelStageExecutor; the
@@ -14,10 +15,16 @@ heavy diversified variants (20 ms of GIL-releasing latency each):
    latency and achieved throughput.
 3. *Open-loop burst* -- an over-capacity burst; admission control must
    shed with `Overloaded` and keep the queue bounded.
+4. *Sleep-free burst* -- no simulated latency: a burst through the
+   engine with the default policy must serve at no less than
+   ``MIN_ENGINE_TO_LOOP`` of the rate of a plain loop of ``infer()``
+   calls on the same deployment (in-process replicas run on the
+   dispatching thread, not on pool threads trading the GIL).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -37,9 +44,13 @@ NUM_REQUESTS = 10
 REPLICA_LATENCY_S = 0.02
 BURST_SIZE = 60
 BURST_CAPACITY = 8
+#: Sleep-free row: requests per burst and per loop, alternating rounds.
+SLEEP_FREE_REQUESTS = 20
+SLEEP_FREE_ROUNDS = 5
+MIN_ENGINE_TO_LOOP = 0.7
 
 
-def deploy() -> MvteeSystem:
+def deploy(replica_latency_s: float = REPLICA_LATENCY_S) -> MvteeSystem:
     model = build_model("small-resnet", input_size=16, blocks_per_stage=1)
     system = MvteeSystem.deploy(
         model,
@@ -50,9 +61,10 @@ def deploy() -> MvteeSystem:
         verify_variants=False,
     )
     system.monitor.response_action = ResponseAction.DROP_VARIANT
-    for connection in system.monitor.stage_connections(1):
-        connection.host.simulated_latency = REPLICA_LATENCY_S
-        connection.host.realtime_latency = True
+    if replica_latency_s > 0:
+        for connection in system.monitor.stage_connections(1):
+            connection.host.simulated_latency = replica_latency_s
+            connection.host.realtime_latency = True
     return system
 
 
@@ -61,6 +73,48 @@ def feeds_for(seed: int) -> dict[str, np.ndarray]:
         "input": np.random.default_rng(seed)
         .normal(size=(1, 3, 16, 16))
         .astype(np.float32)
+    }
+
+
+def sleep_free_burst() -> dict:
+    """Engine burst vs ``infer()`` loop, median rate over alternating rounds.
+
+    The host's speed drifts over seconds, so the two sides alternate
+    which runs first and each side's median rate is compared.
+    """
+    system = deploy(replica_latency_s=0.0)
+    stream = [feeds_for(seed) for seed in range(SLEEP_FREE_REQUESTS)]
+    system.infer_batches(stream[:2])  # warm
+
+    def loop_rps() -> float:
+        start = time.monotonic()
+        for feeds in stream:
+            system.infer(feeds)
+        return len(stream) / (time.monotonic() - start)
+
+    def engine_rps() -> float:
+        with system.serving_engine() as engine:
+            start = time.monotonic()
+            tickets, burst = open_loop_burst(engine, stream)
+            settle_burst(tickets, burst, timeout=120.0)
+            elapsed = time.monotonic() - start
+        assert burst.completed == len(stream)
+        return len(stream) / elapsed
+
+    rates: dict[str, list[float]] = {"loop": [], "engine": []}
+    for round_ in range(SLEEP_FREE_ROUNDS):
+        sides = [("loop", loop_rps), ("engine", engine_rps)]
+        for name, measure in sides if round_ % 2 == 0 else sides[::-1]:
+            rates[name].append(measure())
+    loop, engine = (statistics.median(rates[k]) for k in ("loop", "engine"))
+    return {
+        "requests": SLEEP_FREE_REQUESTS,
+        "rounds": SLEEP_FREE_ROUNDS,
+        "loop_rps": loop,
+        "engine_rps": engine,
+        "engine_to_loop": engine / loop,
+        "loop_rps_rounds": rates["loop"],
+        "engine_rps_rounds": rates["engine"],
     }
 
 
@@ -119,6 +173,7 @@ def compute() -> dict:
         },
         "closed_loop": closed.to_json(),
         "burst": {**burst.to_json(), "capacity": BURST_CAPACITY, "peak_depth": peak_depth},
+        "sleep_free_burst": sleep_free_burst(),
     }
 
 
@@ -128,6 +183,7 @@ def test_serving_throughput(benchmark):
     par = results["parallel_execution"]
     closed = results["closed_loop"]
     burst = results["burst"]
+    free = results["sleep_free_burst"]
     print_table(
         "Serving: parallel variant execution (3 replicas on partition 1)",
         ["path", "wall_s", "rps"],
@@ -150,6 +206,15 @@ def test_serving_throughput(benchmark):
             ["burst_peak_depth", burst["peak_depth"]],
         ],
     )
+    print_table(
+        "Serving: sleep-free 20-request burst vs infer() loop (median of rounds)",
+        ["path", "rps"],
+        [
+            ["infer() loop", f"{free['loop_rps']:.1f}"],
+            ["engine burst", f"{free['engine_rps']:.1f}"],
+            ["engine/loop", f"{free['engine_to_loop']:.2f}"],
+        ],
+    )
     record_result("serving_throughput", results)
 
     # Shape criteria: true parallelism (same outputs, more throughput) …
@@ -166,4 +231,9 @@ def test_serving_throughput(benchmark):
     assert burst["peak_depth"] <= BURST_CAPACITY
     assert burst["completed"] + burst["timed_out"] + burst["failed"] == (
         burst["submitted"] - burst["shed"]
+    )
+    # … and, with nothing to wait on, the engine keeps up with a loop.
+    assert free["engine_to_loop"] >= MIN_ENGINE_TO_LOOP, (
+        f"engine served a sleep-free burst at {free['engine_rps']:.1f} rps, "
+        f"under {MIN_ENGINE_TO_LOOP} of the infer() loop's {free['loop_rps']:.1f} rps"
     )

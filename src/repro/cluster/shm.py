@@ -15,7 +15,10 @@ Segment hygiene: every segment created by this process is tracked in a
 module-level registry and swept by an ``atexit`` hook, so a crashed
 test run cannot leak ``/dev/shm`` entries.  The receiver unlinks each
 segment as soon as it has copied the payload (strict request/response
-protocols make that safe: the sender never re-reads a segment).
+protocols make that safe: the sender never re-reads a segment), and the
+sender untracks its segments (:func:`untrack_segments`) once the answer
+shows they were consumed; a receiver that died first leaves them
+tracked for the sweep.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "export_tensors",
     "import_tensors",
     "tracked_segment_names",
+    "untrack_segments",
 ]
 
 #: Below this many bytes a tensor travels inline in the wire message.
@@ -60,6 +64,12 @@ def _track(name: str) -> None:
 def _untrack(name: str) -> None:
     with _SEGMENTS_LOCK:
         _CREATED_SEGMENTS.discard(name)
+
+
+def untrack_segments(headers: list[dict]) -> None:
+    """Stop tracking segments the receiver has consumed (and unlinked)."""
+    with _SEGMENTS_LOCK:
+        _CREATED_SEGMENTS.difference_update(header["shm"] for header in headers)
 
 
 def tracked_segment_names() -> set[str]:

@@ -56,8 +56,12 @@ def _pack(
     threshold: int = shm.SHM_THRESHOLD_BYTES,
     registry: MetricsRegistry | None = None,
     direction: str = "request",
-) -> bytes:
-    """One wire message, large tensors diverted through shared memory."""
+) -> tuple[bytes, list[dict]]:
+    """One wire message, large tensors diverted through shared memory.
+
+    Returns the message and the headers of the segments it created,
+    which the sender untracks once the receiver's answer arrives.
+    """
     meta = dict(meta or {})
     tensors = tensors or {}
     headers, inline = shm.export_tensors(
@@ -65,7 +69,7 @@ def _pack(
     )
     if headers:
         meta["shm"] = headers
-    return encode_message(msg_type, meta, inline)
+    return encode_message(msg_type, meta, inline), headers
 
 
 def _unpack(
@@ -101,14 +105,19 @@ def _worker_main(conn, host: VariantHost, threshold: int) -> None:
     set_global_registry(MetricsRegistry())
     host.metrics = None
     shm._CREATED_SEGMENTS.clear()  # inherited names belong to the parent
+    sent: list[dict] = []
     while True:
         try:
             data = conn.recv_bytes()
         except (EOFError, OSError):
             os._exit(0)
+        # The parent sends again only after reading (and unlinking) the
+        # segments of our last response.
+        shm.untrack_segments(sent)
+        sent = []
         msg_type, meta, tensors = _unpack(data, direction="request")
         if msg_type == "exchange":
-            _serve_exchange(conn, host, tensors, threshold)
+            sent = _serve_exchange(conn, host, tensors, threshold)
         elif msg_type == "ping":
             conn.send_bytes(
                 encode_message(
@@ -153,7 +162,8 @@ def _worker_main(conn, host: VariantHost, threshold: int) -> None:
             )
 
 
-def _serve_exchange(conn, host: VariantHost, tensors: dict, threshold: int) -> None:
+def _serve_exchange(conn, host: VariantHost, tensors: dict, threshold: int) -> list[dict]:
+    """Answer one exchange; returns the headers of the segments sent."""
     record = tensors["record"].tobytes()
     try:
         response = host.handle_record(record)
@@ -173,16 +183,16 @@ def _serve_exchange(conn, host: VariantHost, tensors: dict, threshold: int) -> N
             # exit hard so the parent sees a genuinely dead process.
             conn.close()
             os._exit(EXIT_CRASHED)
-        return
-    conn.send_bytes(
-        _pack(
-            "exchange-ok",
-            {"pid": os.getpid()},
-            _record_tensor(response),
-            threshold=threshold,
-            direction="response",
-        )
+        return []
+    message, headers = _pack(
+        "exchange-ok",
+        {"pid": os.getpid()},
+        _record_tensor(response),
+        threshold=threshold,
+        direction="response",
     )
+    conn.send_bytes(message)
+    return headers
 
 
 # ----------------------------------------------------------------------
@@ -311,16 +321,18 @@ class WorkerProcess:
         failure (same semantics as the in-process
         :meth:`VariantHost.handle_record`).
         """
-        msg_type, meta, tensors = self._roundtrip(
-            _pack(
-                "exchange",
-                {},
-                _record_tensor(record),
-                threshold=self.shm_threshold,
-                registry=self.registry,
-                direction="request",
-            )
+        message, headers = _pack(
+            "exchange",
+            {},
+            _record_tensor(record),
+            threshold=self.shm_threshold,
+            registry=self.registry,
+            direction="request",
         )
+        msg_type, meta, tensors = self._roundtrip(message)
+        # An answer means the child has consumed (and unlinked) the
+        # request's segments; a dead child leaves them for the sweep.
+        shm.untrack_segments(headers)
         if msg_type == "exchange-ok":
             return tensors["record"].tobytes()
         if msg_type == "exchange-failed":

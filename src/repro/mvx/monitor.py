@@ -22,7 +22,7 @@ from repro.mvx.binding import BindingLedger
 from repro.mvx.config import MvxConfig
 from repro.mvx.consistency import ConsistencyPolicy
 from repro.mvx.events import CrashEvent, DivergenceEvent, ResponseAction
-from repro.mvx.variant_host import VariantHost, VariantUnavailable
+from repro.mvx.variant_host import INTERPRETER_LOCK, VariantHost, VariantUnavailable
 from repro.mvx.voting import VariantOutput, VoteResult, vote
 from repro.mvx.wire import decode_message, encode_message
 from repro.observability.forensics import (
@@ -74,6 +74,21 @@ class VariantConnection:
     #: and two batches may target the same variant concurrently).
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
+    @property
+    def forked(self) -> bool:
+        """Whether records go to a forked worker process over a pipe."""
+        route = getattr(self.transport, "worker", None)
+        return route is not None and route(self.variant_id) is not None
+
+    @property
+    def waits(self) -> bool:
+        """Whether a round trip mostly waits outside this interpreter.
+
+        True for a forked worker (a pipe) and for a host that sleeps out
+        its ``realtime_latency``; such round trips overlap on threads.
+        """
+        return self.forked or self.host.waits
+
     def request(
         self,
         msg_type: str,
@@ -84,16 +99,26 @@ class VariantConnection:
     ) -> tuple[str, dict, dict]:
         """Round-trip one protected request to the variant.
 
-        A thread waiting for another's round trip to finish blocks on
+        A round trip whose work runs in this interpreter also holds
+        :data:`~repro.mvx.variant_host.INTERPRETER_LOCK`, so concurrent
+        in-process round trips take turns instead of trading the GIL;
+        one to a forked worker waits on its pipe and takes only the
+        connection's lock.  A thread waiting for either lock blocks on
         ``clock`` (see :meth:`repro.clock.Clock.locked`).
         """
         with clock.locked(self._lock):
-            record = self.channel.protect(encode_message(msg_type, meta, tensors))
-            if self.transport is not None:
-                response = self.transport.exchange(self.variant_id, record)
-            else:
-                response = self.host.handle_record(record)
-            return decode_message(self.channel.open(response))
+            if self.forked:
+                return self._exchange(msg_type, meta, tensors)
+            with INTERPRETER_LOCK.held(clock):
+                return self._exchange(msg_type, meta, tensors)
+
+    def _exchange(self, msg_type: str, meta: dict, tensors: dict | None):
+        record = self.channel.protect(encode_message(msg_type, meta, tensors))
+        if self.transport is not None:
+            response = self.transport.exchange(self.variant_id, record)
+        else:
+            response = self.host.handle_record(record)
+        return decode_message(self.channel.open(response))
 
 
 @dataclass

@@ -15,7 +15,9 @@ monitor sees a missing checkpoint response, exactly like a crashed TEE.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -35,11 +37,70 @@ from repro.tee.hardware import SimulatedCpu
 from repro.variants.pool import VariantArtifact
 from repro.variants.spec import VariantSpec
 
-__all__ = ["VariantHost", "VariantUnavailable"]
+__all__ = ["INTERPRETER_LOCK", "InterpreterLock", "VariantHost", "VariantUnavailable"]
 
 
 class VariantUnavailable(Exception):
     """The variant TEE crashed or was terminated; no response will come."""
+
+
+class InterpreterLock:
+    """One lock for every round trip whose work runs in this interpreter.
+
+    In-process variants share one interpreter, so their round trips on
+    separate threads overlap nothing: they only trade the GIL at every
+    numpy call.  Holding this lock for a whole round trip makes
+    concurrent callers take turns per round trip (milliseconds) instead
+    of per numpy call (microseconds).  A wait inside a round trip (the
+    host's ``realtime_latency`` sleep) is not work: the host gives the
+    lock up for it through :meth:`released`.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: ``(clock, context)`` of the hold taken by this thread, if any.
+        self._holds = threading.local()
+
+    @contextlib.contextmanager
+    def held(self, clock: Clock):
+        """Hold the lock for one round trip; blocking is on ``clock``."""
+        self._acquire(clock)
+        try:
+            yield
+        finally:
+            self._release()
+
+    @contextlib.contextmanager
+    def released(self):
+        """Give the lock up for a wait, if this thread holds it.
+
+        Under a :class:`~repro.clock.VirtualClock` the hold is a
+        ``clock.locked`` context that also owns a virtual mutex, so the
+        context is left and a fresh one entered afterwards.
+        """
+        hold = getattr(self._holds, "entry", None)
+        if hold is None:
+            yield
+            return
+        self._release()
+        try:
+            yield
+        finally:
+            self._acquire(hold[0])
+
+    def _acquire(self, clock: Clock) -> None:
+        context = clock.locked(self._lock)
+        context.__enter__()
+        self._holds.entry = (clock, context)
+
+    def _release(self) -> None:
+        _, context = self._holds.entry
+        self._holds.entry = None
+        context.__exit__(None, None, None)
+
+
+#: Held by every round trip to a variant that runs in this interpreter.
+INTERPRETER_LOCK = InterpreterLock()
 
 
 @dataclass
@@ -57,9 +118,9 @@ class VariantHost:
     #: a heavily diversified TVM variant, §6.4).
     simulated_latency: float = 0.0
     #: Apply ``simulated_latency`` as a sleep on ``clock`` (real time by
-    #: default) before each inference.  The sleep releases the GIL like
-    #: the numpy kernels do, so the serving benchmarks can model heavy
-    #: diversified variants whose replicas genuinely overlap under
+    #: default) before each inference.  The sleep releases the GIL and
+    #: :data:`INTERPRETER_LOCK`, so the serving benchmarks can model
+    #: heavy diversified variants whose replicas genuinely overlap under
     #: parallel dispatch.
     realtime_latency: bool = False
     #: Clock the ``realtime_latency`` sleep runs on (None = real time).
@@ -72,6 +133,11 @@ class VariantHost:
     def variant_id(self) -> str:
         """The hosted variant's identifier."""
         return self.artifact.variant_id
+
+    @property
+    def waits(self) -> bool:
+        """Whether each inference sleeps out ``simulated_latency`` first."""
+        return self.realtime_latency and self.simulated_latency > 0
 
     @classmethod
     def place(
@@ -169,8 +235,9 @@ class VariantHost:
         if self.runtime is None:
             return encode_message("error", {"reason": "variant not initialized"})
         registry = self.metrics if self.metrics is not None else get_global_registry()
-        if self.realtime_latency and self.simulated_latency > 0:
-            as_clock(self.clock).sleep(self.simulated_latency)
+        if self.waits:
+            with INTERPRETER_LOCK.released():
+                as_clock(self.clock).sleep(self.simulated_latency)
         start = time.perf_counter()
         try:
             outputs = self.runtime.run(tensors)

@@ -12,14 +12,19 @@ serving layer that makes that real under load.  A request travels
   without bound.
 - :mod:`repro.serving.batching` -- a dynamic micro-batcher that coalesces
   queued requests under a ``max_batch_size`` / ``max_wait_s`` policy
-  before handing them to :meth:`MvteeSystem.infer_batches`, amortizing
-  per-request orchestration overhead.
-- :mod:`repro.serving.executor` -- :class:`ParallelStageExecutor`, a
-  persistent thread pool that dispatches the variant replicas of a stage
-  concurrently (they overlap only where their work releases the GIL; the
-  in-process record layer mostly holds it), with per-batch deadlines (carried by
-  :class:`BoundDispatcher` views, so the executor is re-entrant) and
-  retry-once on transient variant faults.
+  before handing them to :meth:`MvteeSystem.infer_batches`.  This
+  amortizes nothing per request: the scheduler takes a micro-batch's
+  requests through the stages one at a time, and every ticket of a
+  micro-batch completes only when the whole micro-batch does.
+- :mod:`repro.serving.executor` -- :class:`ParallelStageExecutor`, the
+  stage dispatcher: replica round trips that wait outside the
+  interpreter (a worker process's pipe, a host's ``realtime_latency``
+  sleep) overlap on a persistent thread pool; in-process round trips
+  run on the dispatching thread under one interpreter-wide lock, so the
+  engine's overlapping batches take turns per round trip instead of
+  trading the GIL.  Per-batch deadlines are carried by
+  :class:`BoundDispatcher` views (so the executor is re-entrant), and a
+  transient variant fault is retried once.
 - :mod:`repro.serving.engine` -- :class:`ServingEngine` tying the three
   together behind ``submit() -> Ticket`` with a pool of
   ``ServingPolicy.num_workers`` worker threads overlapping that many

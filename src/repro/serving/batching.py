@@ -1,8 +1,6 @@
 """Dynamic micro-batching over the admission queue.
 
-Per-request orchestration (channel round trips, checkpoint setup) is
-the dominant TEE-side serving cost; batching amortizes it.  The
-batcher coalesces whatever is queued under a two-knob policy:
+The batcher coalesces whatever is queued under a two-knob policy:
 
 - ``max_batch_size`` -- never hand more than this many requests to one
   :meth:`MvteeSystem.infer_batches` call;
@@ -13,6 +11,11 @@ Under heavy load batches fill to ``max_batch_size`` instantly (no added
 latency); under light load a lone request waits at most ``max_wait_s``.
 Formed batch sizes go to the ``mvtee_batch_size`` histogram and each
 member's time-in-queue to ``mvtee_queue_wait_seconds``.
+
+A micro-batch is a unit of scheduling, not of work: the scheduler takes
+its requests through the stages one at a time (every request pays its
+own channel round trips and checkpoints), and each ticket of the
+micro-batch completes only when the whole micro-batch does.
 """
 
 from __future__ import annotations

@@ -1,16 +1,22 @@
-"""True parallel variant execution for replicated stages.
+"""Variant dispatch for replicated stages: overlap what waits, run the rest inline.
 
 The monitor's default slow path queries the variant replicas of a stage
 one after another; with three replicas the checkpoint waits for the sum
-of three round trips.  :class:`ParallelStageExecutor` dispatches them
-concurrently on one persistent :class:`ThreadPoolExecutor`.  Replicas
-overlap only where their work releases the GIL (large numpy kernels,
-sleeps, a worker process's pipe).  In-process, most of a round trip is
-the record layer, whose small numpy calls and Python-int Poly1305 steps
-hold it, so the replicas mostly take turns: a 20-request burst through
-``serving_engine()`` on 16 px small-resnet served 15-16 req/s against
-34-38 req/s for a loop of ``infer()`` with MVX on one partition, and
-8.5-8.8 against 19-26 req/s with 3x3 MVX (2 cores).
+of three round trips.  :class:`ParallelStageExecutor` overlaps the
+round trips that *wait outside the interpreter* -- a forked worker's
+pipe, a host sleeping out its ``realtime_latency`` -- on one persistent
+:class:`ThreadPoolExecutor`.  A round trip whose work runs in this
+interpreter (an in-process host, not sleeping) would only trade the
+GIL with its siblings there, so it runs on the dispatching thread, in
+connection order, after the waiting ones have been submitted; such
+round trips also take one interpreter-wide lock
+(:data:`~repro.mvx.variant_host.INTERPRETER_LOCK`), so the engine's
+overlapping batches take turns per round trip rather than per numpy
+call.  A connection that cannot be classified goes to the pool.  On
+16 px small-resnet with MVX on one partition (2 cores), a sleep-free
+20-request burst through ``serving_engine()`` serves at 0.70-1.08 of
+the rate of a loop of ``infer()`` (six runs, each the median of five
+alternating rounds).
 
 The executor plugs into a run as its *dispatcher* (via
 :class:`~repro.mvx.scheduler.InferenceOptions`) and keeps the serial
@@ -49,6 +55,15 @@ from repro.serving.errors import DeadlineExceeded
 __all__ = ["BoundDispatcher", "ParallelStageExecutor"]
 
 
+def _waits(connection) -> bool:
+    """Whether a round trip waits outside the interpreter (pool-worthy).
+
+    A connection that does not say (a duck-typed stand-in) is assumed to.
+    """
+    waits = getattr(connection, "waits", None)
+    return True if waits is None else bool(waits)
+
+
 class BoundDispatcher:
     """A per-batch view of one executor with a fixed deadline.
 
@@ -71,7 +86,7 @@ class BoundDispatcher:
 
 
 class ParallelStageExecutor:
-    """Concurrent monitor->variant dispatch with deadlines and one retry.
+    """Monitor->variant dispatch with overlap, deadlines and one retry.
 
     One executor serves one serving engine (or one benchmark loop): the
     pool is persistent so per-batch thread startup never lands on the
@@ -116,14 +131,17 @@ class ParallelStageExecutor:
         *,
         deadline: float | None = None,
     ) -> list:
-        """Round-trip ``feeds`` to every connection concurrently.
+        """Round-trip ``feeds`` to every connection.
 
-        Results come back in connection order, exactly like the serial
-        path, so voting sees an identical input either way; every round
-        trip reports to the run's ``sinks``.  The deadline applies to
-        every connection count -- a single-replica stage goes through
-        the same future-with-timeout path, so one slow variant cannot
-        blow through the batch budget unbounded.
+        Waiting round trips run concurrently on the pool, the others
+        inline (see the module docstring).  Results come back in
+        connection order, exactly like the serial path, so voting sees
+        an identical input either way; every round trip reports to the
+        run's ``sinks``.  The deadline applies to every connection
+        count: a pooled replica is awaited at most until the deadline,
+        and a passed deadline stops the next inline replica from
+        starting, so one slow variant cannot blow through the batch
+        budget unbounded.
         """
         try:
             return self._dispatch(monitor, connections, batch_id, feeds, sinks, deadline)
@@ -132,35 +150,50 @@ class ParallelStageExecutor:
                 self._after_stage(sinks, batch_id, connections)
 
     def _dispatch(self, monitor, connections, batch_id, feeds, sinks, deadline) -> list:
-        if len(connections) == 1 and deadline is None:
-            # Unbounded single replica: no timeout to enforce, so skip
-            # the pool hop entirely.
-            return [self._request(monitor, connections[0], batch_id, feeds, sinks, deadline)]
-        futures = [
-            self._clock.submit(
+        # Round trips that wait outside the interpreter overlap on the
+        # pool; the others would only trade the GIL there, so they run
+        # here, one after another, while the waiting ones proceed.
+        futures = {
+            index: self._clock.submit(
                 self._pool, self._request, monitor, c, batch_id, feeds, sinks, deadline
             )
-            for c in connections
-        ]
-        results = []
-        for connection, future in zip(connections, futures):
-            if deadline is None:
-                results.append(future.result())
-                continue
-            remaining = deadline - self._clock()
-            try:
-                results.append(future.result(timeout=max(0.0, remaining)))
-            except FutureTimeout:
-                # Requests still queued behind the pool would only hold
-                # its threads and the variants' channel locks for a batch
-                # that has already failed.
-                for pending in futures:
-                    pending.cancel()
-                raise DeadlineExceeded(
-                    f"variant {connection.variant_id} missed the batch deadline "
-                    f"at batch {batch_id}, partition {connection.partition_index}"
-                ) from None
+            for index, c in enumerate(connections)
+            if _waits(c)
+        }
+        results = [None] * len(connections)
+        try:
+            for index, connection in enumerate(connections):
+                if index not in futures:
+                    if self._past_deadline(deadline):
+                        raise self._missed(connection, batch_id)
+                    results[index] = self._request(
+                        monitor, connection, batch_id, feeds, sinks, deadline
+                    )
+            for index, future in futures.items():
+                results[index] = self._await(future, connections[index], batch_id, deadline)
+        except DeadlineExceeded:
+            # Requests still queued behind the pool would only hold its
+            # threads and the variants' channel locks for a batch that
+            # has already failed.
+            for future in futures.values():
+                future.cancel()
+            raise
         return results
+
+    def _await(self, future, connection, batch_id, deadline):
+        if deadline is None:
+            return future.result()
+        try:
+            return future.result(timeout=max(0.0, deadline - self._clock()))
+        except FutureTimeout:
+            raise self._missed(connection, batch_id) from None
+
+    @staticmethod
+    def _missed(connection, batch_id) -> DeadlineExceeded:
+        return DeadlineExceeded(
+            f"variant {connection.variant_id} missed the batch deadline "
+            f"at batch {batch_id}, partition {connection.partition_index}"
+        )
 
     def _after_stage(self, sinks, batch_id, connections) -> None:
         """Run the after-stage hook; a failure is counted and audited."""

@@ -23,18 +23,18 @@ from repro.cluster import (
 )
 from repro.cluster import shm
 from repro.cluster.supervisor import _LIVE_SUPERVISORS, _atexit_shutdown_all
-from repro.mvx import MonitorError, MvteeSystem, ResponseAction
+from repro.mvx import InferenceOptions, MonitorError, MvteeSystem, ResponseAction
 from repro.observability import Sinks
 from repro.mvx.variant_host import VariantUnavailable
 from repro.mvx.wire import decode_message, encode_message
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, get_global_registry
 from repro.observability.recorder import (
     KIND_WORKER_EXITED,
     KIND_WORKER_RESTARTED,
     KIND_WORKER_STARTED,
     FlightRecorder,
 )
-from repro.serving import ServingPolicy, TicketState
+from repro.serving import ParallelStageExecutor, ServingPolicy, TicketState
 
 
 def fast_policy(**overrides) -> RestartPolicy:
@@ -169,6 +169,47 @@ class TestProcessDeployment:
         started = cluster_system.monitor.recorder.events(KIND_WORKER_STARTED)
         assert len(started) >= 5
         assert all(e.data["pid"] for e in started)
+
+    def test_request_segments_untracked_once_answered(self, cluster_system, small_input):
+        workers = list(cluster_system.cluster.workers().values())
+        previous = [w.shm_threshold for w in workers]
+        for worker in workers:
+            worker.shm_threshold = 1  # every request record takes the shm lane
+        registry = workers[0].registry
+        if registry is None:
+            registry = get_global_registry()
+        moved = registry.counter("mvtee_shm_bytes_total")
+        before = moved.value(direction="request")
+        try:
+            for _ in range(5):
+                cluster_system.infer({"input": small_input})
+        finally:
+            for worker, threshold in zip(workers, previous):
+                worker.shm_threshold = threshold
+        assert moved.value(direction="request") > before
+        assert shm.tracked_segment_names() == set()
+
+    def test_waiting_workers_overlap(self, cluster_system, small_input):
+        # Three replicas that each sleep 0.3 s inside their worker: the
+        # stage takes one sleep, not three.
+        workers = [
+            cluster_system.cluster.worker(c.variant_id)
+            for c in cluster_system.monitor.stage_connections(1)
+        ]
+        assert len(workers) == 3
+        cluster_system.infer({"input": small_input})  # warm
+        for worker in workers:
+            worker.configure(simulated_latency=0.3, realtime_latency=True)
+        try:
+            with ParallelStageExecutor(4) as executor:
+                options = InferenceOptions(dispatcher=executor)
+                start = time.monotonic()
+                cluster_system.infer_batches([{"input": small_input}], options)
+                elapsed = time.monotonic() - start
+        finally:
+            for worker in workers:
+                worker.configure(simulated_latency=0.0, realtime_latency=False)
+        assert elapsed < 0.6
 
     def test_rejects_explicit_transport_combo(self, small_resnet):
         from repro.mvx.transport import DirectTransport

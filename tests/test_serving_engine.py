@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import threading
 import time
 
@@ -15,11 +16,13 @@ from repro.mvx import (
     MvteeSystem,
     ResponseAction,
 )
+from repro.mvx.variant_host import INTERPRETER_LOCK, VariantHost
 from repro.mvx.voting import VariantOutput
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.recorder import KIND_ENGINE_ERROR, FlightRecorder
 from repro.observability.sinks import Sinks
 from repro.runtime.faults import FaultInjector
+from repro.tee.channel import SecureChannel
 from repro.serving import (
     DeadlineExceeded,
     EngineStopped,
@@ -527,6 +530,122 @@ class TestParallelStageExecutor:
             serial_s = clock.now() - start
         assert serial_s == pytest.approx(0.09)
         assert parallel_s == pytest.approx(0.03)
+
+
+class _InlineConnection(_StubConnection):
+    """A stand-in whose round trip runs in this interpreter."""
+
+    waits = False
+
+
+class _WaitingConnection(_StubConnection):
+    waits = True
+
+
+class _ThreadLog(_StubMonitor):
+    """Records which thread ran each round trip."""
+
+    def __init__(self, scripts, advance=None):
+        super().__init__(scripts)
+        self.threads: dict[str, str] = {}
+        self.advance = advance
+
+    def request_inference(self, connection, batch_id, feeds, sinks):
+        self.threads[connection.variant_id] = threading.current_thread().name
+        if self.advance is not None:
+            self.advance()
+        return super().request_inference(connection, batch_id, feeds, sinks)
+
+
+class _ConcurrencyProbe:
+    """The most threads seen inside each wrapped callable at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = collections.Counter()
+        self.peak = collections.Counter()
+
+    def wrap(self, name, fn):
+        def probed(*args, **kwargs):
+            with self._lock:
+                self._inside[name] += 1
+                self.peak[name] = max(self.peak[name], self._inside[name])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self._inside[name] -= 1
+
+        return probed
+
+
+class TestInlineDispatch:
+    def test_waiting_round_trips_pool_the_others_run_inline(self):
+        good = {"t": np.ones((1,), dtype=np.float32)}
+        monitor = _ThreadLog({v: [good] for v in "abcd"})
+        connections = [
+            _InlineConnection("a"),
+            _WaitingConnection("b"),
+            _StubConnection("c"),  # cannot be classified: pooled
+            _InlineConnection("d"),
+        ]
+        with ParallelStageExecutor(4) as executor:
+            results = executor.dispatch(monitor, connections, 0, {}, monitor.sinks)
+        assert [r.variant_id for r in results] == ["a", "b", "c", "d"]
+        here = threading.current_thread().name
+        assert monitor.threads["a"] == monitor.threads["d"] == here
+        assert monitor.threads["b"].startswith("mvtee-variant")
+        assert monitor.threads["c"].startswith("mvtee-variant")
+
+    def test_deadline_passing_in_an_inline_replica_stops_the_next(self):
+        now = [0.0]
+
+        def outlast_the_deadline():
+            now[0] += 1.0
+
+        good = {"t": np.ones((1,), dtype=np.float32)}
+        monitor = _ThreadLog({v: [good] for v in "ab"}, advance=outlast_the_deadline)
+        connections = [_InlineConnection("a"), _InlineConnection("b")]
+        with ParallelStageExecutor(2, clock=lambda: now[0]) as executor:
+            with pytest.raises(DeadlineExceeded, match="variant b"):
+                executor.dispatch(
+                    monitor, connections, 0, {}, monitor.sinks, deadline=0.5
+                )
+        assert monitor.calls == ["a"]
+
+    def test_engine_burst_runs_one_round_trip_at_a_time(self, system, monkeypatch):
+        probe = _ConcurrencyProbe()
+        monkeypatch.setattr(
+            VariantHost, "handle_record", probe.wrap("handle_record", VariantHost.handle_record)
+        )
+        monkeypatch.setattr(
+            SecureChannel, "protect", probe.wrap("protect", SecureChannel.protect)
+        )
+        with system.serving_engine(policy=ServingPolicy(num_workers=2)) as engine:
+            tickets, burst = open_loop_burst(engine, [feeds_for(s) for s in range(20)])
+            settle_burst(tickets, burst, timeout=120.0)
+        assert burst.completed == 20
+        assert probe.peak["handle_record"] == 1
+        assert probe.peak["protect"] == 1
+
+    def test_released_lets_another_thread_hold_the_lock(self):
+        clock = Clock()
+        entered = threading.Event()
+
+        def other():
+            with INTERPRETER_LOCK.held(clock):
+                entered.set()
+
+        with INTERPRETER_LOCK.released():  # not held: nothing to give up
+            pass
+        with INTERPRETER_LOCK.held(clock):
+            thread = threading.Thread(target=other)
+            thread.start()
+            assert not entered.wait(0.05)
+            with INTERPRETER_LOCK.released():
+                assert entered.wait(5.0)
+            thread.join(5.0)
+        assert not thread.is_alive()
 
 
 class TestServingPolicyValidation:
